@@ -12,13 +12,12 @@ from .data import (
     Instance,
     SynthConfig,
     Vocab,
-    build_review_instances,
     parse_corpus,
     save_corpus,
     synth_generate,
     truncate_history,
 )
-from .embedding import PAD_ID, EmbeddingTable, FeatureEmbeddings, sample_negative_item
+from .embedding import PAD_ID, EmbeddingTable
 from .errors import (
     ConfigError,
     DegenerateError,
@@ -42,32 +41,9 @@ from .evaluation import (
     repeat_eval,
     run_ablation,
 )
-from .model import (
-    DienModel,
-    MlpParams,
-    ModelVariant,
-    Prediction,
-    aux_loss,
-    base_forward,
-    dien_forward,
-    predict_instance,
-    target_loss,
-    total_loss,
-)
-from .numerics import finite_diff_grad, log_sigmoid, max_rel_error, sigmoid, softmax
-from .recurrent import (
-    AttentionParams,
-    EvolutionTrace,
-    GruParams,
-    InterestTrace,
-    agru_step,
-    aigru_inputs,
-    attention_scores,
-    augru_step,
-    evolve,
-    gru_sequence,
-    gru_step,
-)
+from .model import DienModel, MlpParams, ModelVariant, total_loss
+from .numerics import finite_diff_grad, log_sigmoid, max_rel_error, sigmoid
+from .recurrent import AttentionParams, GruParams, agru_step, aigru_inputs, augru_step, gru_step
 from .training import Adam, CurveRecord, GradCheckReport, TrainConfig, adam_step, grad_check, train
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -88,8 +88,7 @@ _SCHEMAS = {
         "seed": _pint, "out": _pstr,
     },
     "train": {
-        **_TRAIN_KEYS, "corpus": _pstr, "split_seed": _pint, "workers": _pint,
-        "out": _pstr,
+        **_TRAIN_KEYS, "corpus": _pstr, "split_seed": _pint, "out": _pstr,
     },
     "eval": {
         "corpus": _pstr, "checkpoint": _pstr, "seed": _pint, "split_seed": _pint,
@@ -106,7 +105,7 @@ _SCHEMAS = {
     },
     "viz": {
         "corpus": _pstr, "checkpoint": _pstr, "steps": _pint, "split_seed": _pint,
-        "seed": _pint, "workers": _pint, "out": _pstr,
+        "out": _pstr,
     },
 }
 
@@ -119,7 +118,7 @@ _DEFAULTS = {
     "synth": dict(n_users=10000, n_items=200, n_cats=10, seq_len=10,
                   drift_prob=0.3, noise=0.1, test_fraction=0.1, seed=0,
                   out="out_synth"),
-    "train": dict(_TRAIN_DEFAULTS, split_seed=0, workers=1, out="out_train"),
+    "train": dict(_TRAIN_DEFAULTS, split_seed=0, out="out_train"),
     "eval": dict(seed=0, split_seed=0, max_history=50, workers=1, out="out_eval"),
     "ablation": dict(_TRAIN_DEFAULTS, split_seed=0, workers=1, n_repeats=5,
                      variants=("base", "two_layer_gru_att", "gru_augru", "dien"),
@@ -127,7 +126,7 @@ _DEFAULTS = {
     "gradcheck": dict(variant="dien", alpha=1.0, embed_dim=2, hidden_size=4,
                       mlp_hidden=(8,), seed=0, tolerance=1e-4, epsilon=1e-5,
                       out="out_gradcheck"),
-    "viz": dict(steps=10, split_seed=0, seed=0, workers=1, out="out_viz"),
+    "viz": dict(steps=10, split_seed=0, out="out_viz"),
 }
 
 

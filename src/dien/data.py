@@ -114,9 +114,6 @@ class Corpus:
     def test(self) -> list[Instance]:
         return [self.instances[i] for i in self.test_idx]
 
-    def max_history(self) -> int:
-        return max(len(inst.history_items) for inst in self.instances)
-
 
 def _pair_units(instances: list[Instance]) -> list[list[int]]:
     """Group adjacent instances sharing a history into split units."""
@@ -225,65 +222,6 @@ def save_corpus(corpus: Corpus, path) -> None:
 
 
 @dataclass
-class ReviewBuild:
-    """Instances built from per-user review streams plus a skip report."""
-
-    instances: list[Instance]
-    item_vocab: Vocab
-    cat_vocab: Vocab
-    users: int
-    skipped: int
-
-
-def build_review_instances(reviews: dict, rng: np.random.Generator,
-                           item_vocab: Vocab | None = None,
-                           cat_vocab: Vocab | None = None) -> ReviewBuild:
-    """Turn time-sorted per-user (item, category) streams into instances.
-
-    Each user with at least two reviews yields a positive instance (all but
-    the last review as history, the last as target) and a paired negative
-    whose target is drawn uniformly from items the user never reviewed.
-    Shorter users are skipped and counted.
-    """
-    item_vocab = item_vocab if item_vocab is not None else Vocab()
-    cat_vocab = cat_vocab if cat_vocab is not None else Vocab()
-    streams: list[list[tuple[int, int]]] = []
-    for user in reviews:
-        stream = [(item_vocab.add(it), cat_vocab.add(ct)) for it, ct in reviews[user]]
-        streams.append(stream)
-    item_of_cat = np.zeros(len(item_vocab), dtype=np.int64)
-    for stream in streams:
-        for item, cat in stream:
-            if item_of_cat[item] == 0:
-                item_of_cat[item] = cat
-
-    instances: list[Instance] = []
-    skipped = 0
-    for stream in streams:
-        if len(stream) < 2:
-            skipped += 1
-            continue
-        history = stream[:-1]
-        pos_item, pos_cat = stream[-1]
-        reviewed = {item for item, _ in stream}
-        candidates = [i for i in range(1, len(item_vocab)) if i not in reviewed]
-        if not candidates:
-            skipped += 1
-            continue
-        neg_item = candidates[int(rng.integers(len(candidates)))]
-        hist_items = tuple(item for item, _ in history)
-        hist_cats = tuple(cat for _, cat in history)
-        instances.append(Instance(hist_items, hist_cats, pos_item, pos_cat, 1))
-        instances.append(Instance(
-            hist_items, hist_cats, neg_item, int(item_of_cat[neg_item]), 0,
-        ))
-    return ReviewBuild(
-        instances=instances, item_vocab=item_vocab, cat_vocab=cat_vocab,
-        users=len(streams), skipped=skipped,
-    )
-
-
-@dataclass
 class SynthConfig:
     """Knobs of the planted-interest generator; all draws come from `seed`."""
 
@@ -319,8 +257,10 @@ def _category_of(item: int, n_cats: int) -> int:
     return (item - 1) % n_cats + 1
 
 
-def _items_of_category(cat: int, n_items: int, n_cats: int) -> list[int]:
-    return list(range(cat, n_items + 1, n_cats))
+def _items_of_category(cat: int, n_items: int, n_cats: int) -> range:
+    # a range, not a list: it is drawn from once per behaviour, and a range
+    # costs the same to build and to index whatever the category's size
+    return range(cat, n_items + 1, n_cats)
 
 
 def synth_generate(config: SynthConfig) -> Corpus:

@@ -4,28 +4,15 @@ A table stores one column per id (shape dim x vocab_size) together with a
 sparse gradient accumulator, so the optimizer only ever touches the ids seen
 in a batch.  Id 0 is reserved as padding in every vocabulary: its column is
 zero at initialization and masked positions never feed gradient back into it.
-
-Weights file format (version 1, text, UTF-8, LF):
-
-    dien-embedding 1
-    <vocab_size> <dim>
-    <dim floats for id 0, space separated, full precision>
-    ...
-    <dim floats for id vocab_size-1>
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import ParseError, ShapeError, VocabularyError
+from .errors import ShapeError, VocabularyError
 
 PAD_ID = 0
-
-_WEIGHTS_MAGIC = "dien-embedding"
-_WEIGHTS_VERSION = 1
 
 
 class EmbeddingTable:
@@ -56,17 +43,12 @@ class EmbeddingTable:
         self._grad = np.zeros_like(self.weights)
         self._touched = np.zeros(self.vocab_size, dtype=bool)
 
-    def _check_id(self, idx: int) -> int:
-        idx = int(idx)
-        if not 0 <= idx < self.vocab_size:
-            raise VocabularyError(
-                f"id {idx} outside vocabulary of size {self.vocab_size}"
-            )
-        return idx
-
     def lookup(self, idx: int) -> np.ndarray:
         """Copy of the embedding vector for one id."""
-        return self.weights[:, self._check_id(idx)].copy()
+        idx = int(idx)
+        if not 0 <= idx < self.vocab_size:
+            raise VocabularyError(f"id {idx} outside vocabulary of size {self.vocab_size}")
+        return self.weights[:, idx].copy()
 
     def lookup_many(self, ids) -> np.ndarray:
         """Embedding vectors for an id array of any shape.
@@ -82,24 +64,18 @@ class EmbeddingTable:
             )
         return np.moveaxis(self.weights[:, ids], 0, -1).copy()
 
-    def accumulate_grad(self, idx: int, grad) -> None:
-        """Add a gradient vector into the accumulator slot for one id."""
-        idx = self._check_id(idx)
-        grad = np.asarray(grad, dtype=np.float64)
-        if grad.shape != (self.dim,):
-            raise ShapeError(
-                f"gradient shape {grad.shape} does not match embedding dim {self.dim}"
-            )
-        self._grad[:, idx] += grad
-        self._touched[idx] = True
-
     def accumulate_grad_many(self, ids, grads) -> None:
         """Scatter-add rows of `grads` into the slots named by `ids`.
 
-        Repeated ids sum, matching a chain of accumulate_grad calls.
+        Repeated ids sum.
         """
         ids = np.asarray(ids, dtype=np.int64).ravel()
-        grads = np.asarray(grads, dtype=np.float64).reshape(ids.size, self.dim)
+        grads = np.asarray(grads, dtype=np.float64)
+        if grads.size != ids.size * self.dim:
+            raise ShapeError(
+                f"{grads.size} gradient values for {ids.size} ids of dim {self.dim}"
+            )
+        grads = grads.reshape(ids.size, self.dim)
         if ids.size == 0:
             return
         if ids.min() < 0 or ids.max() >= self.vocab_size:
@@ -113,113 +89,12 @@ class EmbeddingTable:
         """Ids that received gradient since the last zero_grad, ascending."""
         return np.flatnonzero(self._touched)
 
-    def grad_items(self) -> dict[int, np.ndarray]:
-        """Sparse view of the accumulator: {id: gradient vector}."""
-        return {int(i): self._grad[:, i].copy() for i in self.touched_ids()}
-
     def grad_columns(self) -> np.ndarray:
         """Dense reference to the accumulator (dim x vocab_size)."""
         return self._grad
 
     def zero_grad(self) -> None:
-        self._grad[:, self._touched] = 0.0
-        self._touched[:] = False
-
-    def save(self, path) -> None:
-        """Write the weights file (documented at module top)."""
-        lines = [f"{_WEIGHTS_MAGIC} {_WEIGHTS_VERSION}\n", f"{self.vocab_size} {self.dim}\n"]
-        for i in range(self.vocab_size):
-            lines.append(" ".join(repr(float(v)) for v in self.weights[:, i]) + "\n")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines)
-
-    @classmethod
-    def load(cls, path) -> "EmbeddingTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if len(header) != 2 or header[0] != _WEIGHTS_MAGIC:
-                raise ParseError(f"{path}: not an embedding weights file")
-            if int(header[1]) != _WEIGHTS_VERSION:
-                raise ParseError(f"{path}: unsupported version {header[1]}")
-            dims = fh.readline().split()
-            if len(dims) != 2:
-                raise ParseError(f"{path}: malformed size line")
-            vocab_size, dim = int(dims[0]), int(dims[1])
-            weights = np.empty((dim, vocab_size), dtype=np.float64)
-            for i in range(vocab_size):
-                row = fh.readline().split()
-                if len(row) != dim:
-                    raise ParseError(f"{path}: line {i + 3}: expected {dim} values")
-                weights[:, i] = [float(v) for v in row]
-        return cls(vocab_size, dim, weights=weights)
-
-
-def sample_negative(rng: np.random.Generator, vocab_size: int, excluded: int) -> int:
-    """Uniform draw from {0..vocab_size-1} minus one excluded id.
-
-    Deterministic given the generator state; consumes exactly one draw.
-    """
-    if vocab_size < 2:
-        raise VocabularyError(
-            f"cannot sample a negative from a vocabulary of size {vocab_size}"
-        )
-    if not 0 <= excluded < vocab_size:
-        raise VocabularyError(
-            f"excluded id {excluded} outside vocabulary of size {vocab_size}"
-        )
-    draw = int(rng.integers(vocab_size - 1))
-    return draw + 1 if draw >= excluded else draw
-
-
-def sample_negative_item(rng: np.random.Generator, vocab_size: int, excluded: int) -> int:
-    """Negative item draw that additionally avoids the padding id 0."""
-    if excluded == PAD_ID:
-        raise VocabularyError("cannot exclude the padding id: it is never clicked")
-    return 1 + sample_negative(rng, vocab_size - 1, excluded - 1)
-
-
-@dataclass
-class FeatureEmbeddings:
-    """Embedded view of one instance, ready for the network.
-
-    Behavior steps keep their item and category halves separate; the model
-    concatenates them per step.  Positions at or beyond valid_len carry zero
-    vectors and are masked downstream.
-    """
-
-    item_vecs: np.ndarray  # (T, embed_dim)
-    cat_vecs: np.ndarray  # (T, embed_dim)
-    target_vec: np.ndarray  # (2 * embed_dim,)
-    valid_len: int
-    profile_vec: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def behavior_vecs(self) -> np.ndarray:
-        """Per-step behavior vectors: item and category halves concatenated."""
-        return np.concatenate([self.item_vecs, self.cat_vecs], axis=1)
-
-    @classmethod
-    def from_instance(
-        cls, item_table: EmbeddingTable, cat_table: EmbeddingTable, instance, pad_to: int = 0
-    ) -> "FeatureEmbeddings":
-        """Embed one data instance, optionally padded out to `pad_to` steps."""
-        items = np.asarray(instance.history_items, dtype=np.int64)
-        cats = np.asarray(instance.history_cats, dtype=np.int64)
-        if items.shape != cats.shape:
-            raise ShapeError(
-                f"history items ({items.size}) and categories ({cats.size}) misaligned"
-            )
-        valid_len = items.size
-        length = max(valid_len, pad_to)
-        padded_items = np.full(length, PAD_ID, dtype=np.int64)
-        padded_cats = np.full(length, PAD_ID, dtype=np.int64)
-        padded_items[:valid_len] = items
-        padded_cats[:valid_len] = cats
-        target = np.concatenate(
-            [item_table.lookup(instance.target_item), cat_table.lookup(instance.target_cat)]
-        )
-        return cls(
-            item_vecs=item_table.lookup_many(padded_items),
-            cat_vecs=cat_table.lookup_many(padded_cats),
-            target_vec=target,
-            valid_len=valid_len,
-        )
+        """Clear the accumulator; only the touched columns are written."""
+        ids = self.touched_ids()
+        self._grad[:, ids] = 0.0
+        self._touched[ids] = False

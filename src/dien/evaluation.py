@@ -17,9 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Corpus, Instance, truncate_history
-from .embedding import FeatureEmbeddings
 from .errors import ConfigError, DegenerateError, ShapeError, UsageError
-from .model import DienModel, ModelVariant, dien_forward, forward_batch, make_batch
+from .model import DienModel, ModelVariant, forward_batch, make_batch
 from .training import TrainConfig, train
 
 EVAL_CHUNK = 512
@@ -270,18 +269,13 @@ def export_viz(model: DienModel, probes: list, labels: list,
         raise ConfigError("probe targets must be distinct")
 
     valid = len(probes[0].history_items)
-    attention: dict[str, np.ndarray] = {}
-    states: dict[str, np.ndarray] = {}
-    for label, inst in zip(labels, probes):
-        emb = FeatureEmbeddings.from_instance(model.item_table, model.cat_table, inst)
-        pred = dien_forward(model, emb)
-        attention[label] = pred.evolution.scores[:valid].copy()
-        states[label] = pred.evolution.evolved[:valid].copy()
-    emb = FeatureEmbeddings.from_instance(model.item_table, model.cat_table, probes[0])
-    uniform = np.full(valid, 1.0 / valid)
-    pred = dien_forward(model, emb, forced_scores=uniform)
-    attention[VizBundle.NONE_LABEL] = uniform
-    states[VizBundle.NONE_LABEL] = pred.evolution.evolved[:valid].copy()
+    ctx = forward_batch(model, make_batch(probes))
+    attention = dict(zip(labels, ctx["scores"]))
+    states = dict(zip(labels, ctx["evolved"]))
+    uniform = np.full((1, valid), 1.0 / valid)
+    ctx = forward_batch(model, make_batch(probes[:1]), scores=uniform)
+    attention[VizBundle.NONE_LABEL] = uniform[0]
+    states[VizBundle.NONE_LABEL] = ctx["evolved"][0]
 
     all_labels = labels + [VizBundle.NONE_LABEL]
     union = np.vstack([states[l] for l in all_labels])

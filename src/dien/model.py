@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Instance
 from .embedding import PAD_ID, EmbeddingTable
 from .errors import ConfigError, ParseError, ShapeError, UsageError
 from .numerics import log_sigmoid, sigmoid
@@ -32,22 +31,15 @@ from .recurrent import (
     AIGRU,
     AUGRU,
     AttentionParams,
-    EvolutionTrace,
     GruParams,
-    InterestTrace,
     step_masks,
     attention_backward,
     attention_forward,
-    attention_scores,
-    evolve,
     evolve_backward,
     evolve_forward,
     gru_backward,
     gru_forward,
-    gru_sequence,
 )
-
-PROB_FLOOR = 1e-12  # probabilities are clamped to [floor, 1 - floor] before logs
 
 
 class ModelVariant(enum.Enum):
@@ -172,15 +164,6 @@ def mlp_backward(mlp: MlpParams, cache, d_logits):
         grads[f"b{i}"] = d.sum(axis=0)
         d = d @ mlp.weights[i]
     return grads, d
-
-
-@dataclass
-class Prediction:
-    """Click probability plus the recurrent traces when they exist."""
-
-    p: float
-    interest: InterestTrace | None = None
-    evolution: EvolutionTrace | None = None
 
 
 class DienModel:
@@ -321,7 +304,7 @@ class DienModel:
 
 
 # ---------------------------------------------------------------------------
-# batched training path
+# the batched engine: every training, scoring and probe path runs through it
 # ---------------------------------------------------------------------------
 
 
@@ -375,14 +358,18 @@ def draw_negative_items(rng: np.random.Generator, vocab_size: int,
     return 1 + draws + (draws >= np.maximum(excluded, 1) - 1)
 
 
-def forward_batch(model: DienModel, batch: Batch, negatives=None) -> dict:
+def forward_batch(model: DienModel, batch: Batch, negatives=None, scores=None) -> dict:
     """Run the variant end to end over a batch.
 
     `negatives` is an (item ids, category ids) pair shaped (B, T-1) for the
-    next-behavior loss; pass None to skip that loss.  Returns the context
+    next-behavior loss; pass None to skip that loss.  `scores`, a (B, T)
+    array, replaces the attention weights with caller-chosen ones (the
+    target-free probe); such a context is forward-only.  Returns the context
     dict consumed by model_backward, with losses under "l_target"/"l_aux"
     and probabilities under "probs".
     """
+    if scores is not None and not model.variant.recurrent:
+        raise UsageError("the sum-pooling variant has no attention scores to replace")
     d = model.embed_dim
     items_e = model.item_table.lookup_many(batch.item_ids)
     cats_e = model.cat_table.lookup_many(batch.cat_ids)
@@ -401,18 +388,23 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None) -> dict:
     else:
         states1, cache1 = gru_forward(model.extractor, behaviors, batch.valid)
         ctx["states1"], ctx["cache1"] = states1, cache1
-        if model.variant is ModelVariant.TWO_LAYER_GRU_ATT:
+        two_layer = model.variant is ModelVariant.TWO_LAYER_GRU_ATT
+        if two_layer:
             states2, cache2 = gru_forward(model.evolver, states1, batch.valid)
-            scores, acache = attention_forward(states2, targets, model.attention, batch.valid)
+            ctx.update(states2=states2, cache2=cache2)
+        acache = None
+        if scores is None:
+            scores, acache = attention_forward(states2 if two_layer else states1, targets,
+                                               model.attention, batch.valid)
+        scores = np.asarray(scores, dtype=np.float64)
+        ctx.update(scores=scores, acache=acache)
+        if two_layer:
             interest = (scores[:, :, None] * states2).sum(axis=1)
-            ctx.update(states2=states2, cache2=cache2, scores=scores, acache=acache)
         else:
-            scores, acache = attention_forward(states1, targets, model.attention, batch.valid)
-            evolved, final, ecache = evolve_forward(
+            evolved, interest, ecache = evolve_forward(
                 model.evolver, states1, scores, batch.valid, model.variant.evolution_cell
             )
-            interest = final
-            ctx.update(scores=scores, acache=acache, evolved=evolved, ecache=ecache)
+            ctx.update(evolved=evolved, ecache=ecache)
         feats = np.concatenate([interest, targets], axis=1)
 
     logits, mcache = mlp_forward(model.mlp, feats)
@@ -475,7 +467,7 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
             d_w, d_states2_att, d_targets_att = attention_backward(
                 model.attention, ctx["acache"], d_scores
             )
-            evolver_grads, d_states1, _ = gru_backward(
+            evolver_grads, d_states1 = gru_backward(
                 model.evolver, ctx["cache2"], d_states2 + d_states2_att
             )
         else:
@@ -506,7 +498,7 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
             _masked_accumulate(model.item_table, ctx["neg_items"], d_neg[..., :d], m)
             _masked_accumulate(model.cat_table, ctx["neg_cats"], d_neg[..., d:], m)
 
-        extractor_grads, d_behaviors, _ = gru_backward(model.extractor, ctx["cache1"], d_states1)
+        extractor_grads, d_behaviors = gru_backward(model.extractor, ctx["cache1"], d_states1)
         if d_behaviors_extra is not None:
             d_behaviors[:, 1:] += d_behaviors_extra
         for name, arr in extractor_grads.items():
@@ -518,127 +510,6 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
     model.item_table.accumulate_grad_many(batch.target_items, d_targets[:, :d])
     model.cat_table.accumulate_grad_many(batch.target_cats, d_targets[:, d:])
     return grads
-
-
-# ---------------------------------------------------------------------------
-# single-instance surfaces
-# ---------------------------------------------------------------------------
-
-
-def _head_probability(mlp: MlpParams, feats: np.ndarray) -> float:
-    logit, _ = mlp_forward(mlp, feats[None, :])
-    return float(sigmoid(logit)[0])
-
-
-def base_forward(embeddings, mlp: MlpParams) -> Prediction:
-    """Sum-pool the valid behaviors and score against the target."""
-    vecs = embeddings.behavior_vecs()
-    valid = embeddings.valid_len
-    pooled = vecs[:valid].sum(axis=0) if valid else np.zeros(vecs.shape[1])
-    feats = np.concatenate([pooled, embeddings.target_vec, embeddings.profile_vec])
-    return Prediction(p=_head_probability(mlp, feats))
-
-
-def dien_forward(model: DienModel, embeddings, forced_scores=None) -> Prediction:
-    """Two-stage forward for one instance, keeping the traces.
-
-    `forced_scores` bypasses the attention softmax with caller-chosen
-    relevance weights, which is how the no-attention diagnostic probes run.
-    """
-    if not model.variant.recurrent:
-        raise UsageError("sum-pooling variant has no recurrent stages; use base_forward")
-    trace = gru_sequence(model.extractor, embeddings.behavior_vecs(), None,
-                         embeddings.valid_len)
-    target = embeddings.target_vec
-    if model.variant is ModelVariant.TWO_LAYER_GRU_ATT:
-        second = gru_sequence(model.evolver, trace.hidden, None, trace.valid_len)
-        if forced_scores is None:
-            scores = attention_scores(second, target, model.attention)
-        else:
-            scores = np.asarray(forced_scores, dtype=np.float64)
-        interest = (scores[:, None] * second.hidden).sum(axis=0)
-        evolution = EvolutionTrace(scores=scores.copy(), evolved=second.hidden,
-                                   final=interest)
-    else:
-        if forced_scores is None:
-            scores = attention_scores(trace, target, model.attention)
-        else:
-            scores = np.asarray(forced_scores, dtype=np.float64)
-        evolution = evolve(model.evolver, trace, scores, model.variant.evolution_cell)
-        interest = evolution.final
-    feats = np.concatenate([interest, target, embeddings.profile_vec])
-    return Prediction(p=_head_probability(model.mlp, feats), interest=trace,
-                      evolution=evolution)
-
-
-def predict_instance(model: DienModel, instance: Instance) -> Prediction:
-    """Embed one instance and run whichever forward its variant uses."""
-    from .embedding import FeatureEmbeddings
-
-    emb = FeatureEmbeddings.from_instance(model.item_table, model.cat_table, instance)
-    if model.variant.recurrent:
-        return dien_forward(model, emb)
-    return base_forward(emb, model.mlp)
-
-
-# ---------------------------------------------------------------------------
-# losses
-# ---------------------------------------------------------------------------
-
-
-def _prob(p) -> float:
-    return p.p if isinstance(p, Prediction) else float(p)
-
-
-def target_loss(preds, labels) -> float:
-    """Mean negative log likelihood of the click labels.
-
-    Probabilities are clamped to [1e-12, 1 - 1e-12] so a saturated
-    prediction cannot produce an infinite loss.
-    """
-    if len(preds) == 0:
-        raise UsageError("empty prediction batch")
-    if len(preds) != len(labels):
-        raise ShapeError(f"{len(preds)} predictions vs {len(labels)} labels")
-    p = np.clip([_prob(x) for x in preds], PROB_FLOOR, 1.0 - PROB_FLOOR)
-    y = np.asarray(labels, dtype=np.float64)
-    if np.any((y != 0.0) & (y != 1.0)):
-        raise UsageError("labels must be 0 or 1")
-    return -float(np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
-def aux_loss(traces, pos_seqs, neg_seqs) -> float:
-    """Next-behavior score loss over extractor states.
-
-    For each instance and each step before the last valid one, the state
-    must score the actual next behavior high (inner product through a
-    sigmoid) and the sampled impostor low.  Normalized by the number of
-    instances.
-    """
-    if len(traces) == 0:
-        raise UsageError("empty trace batch")
-    if not len(traces) == len(pos_seqs) == len(neg_seqs):
-        raise ShapeError(
-            f"{len(traces)} traces vs {len(pos_seqs)} positive and "
-            f"{len(neg_seqs)} negative sequences"
-        )
-    total = 0.0
-    for trace, pos, neg in zip(traces, pos_seqs, neg_seqs):
-        steps = trace.valid_len - 1
-        if steps <= 0:
-            continue
-        pos = np.asarray(pos, dtype=np.float64)
-        neg = np.asarray(neg, dtype=np.float64)
-        if pos.shape[-1] != trace.hidden.shape[1] or neg.shape[-1] != trace.hidden.shape[1]:
-            raise ConfigError(
-                f"behavior width {pos.shape[-1]} does not match state width "
-                f"{trace.hidden.shape[1]}"
-            )
-        h = trace.hidden[:steps]
-        s_pos = np.einsum("tn,tn->t", h, pos[:steps])
-        s_neg = np.einsum("tn,tn->t", h, neg[:steps])
-        total += float((log_sigmoid(s_pos) + log_sigmoid(-s_neg)).sum())
-    return -total / len(traces)
 
 
 def total_loss(l_target: float, l_aux: float, alpha: float) -> float:

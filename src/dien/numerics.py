@@ -26,31 +26,6 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Validate and return `x` as a finite 2-D float64 array."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ShapeError(f"{name} must be a nonempty 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{name} contains non-finite entries")
-    return arr
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit conformance check.
-
-    Raises ShapeError naming both operand shapes when a.cols != b.rows.
-    """
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}: "
-            "inner dimensions differ"
-        )
-    return a @ b
-
-
 def sigmoid(x) -> np.ndarray:
     """Elementwise logistic function, stable over the whole float64 range.
 
@@ -74,20 +49,6 @@ def log_sigmoid(x) -> np.ndarray:
 def tanh_act(x) -> np.ndarray:
     """Elementwise hyperbolic tangent (candidate-state activation)."""
     return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def softmax(logits) -> np.ndarray:
-    """Normalized exponentials of a vector of logits.
-
-    Max-shifted, so logits of any magnitude produce finite positive weights
-    summing to 1.
-    """
-    arr = np.asarray(logits, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ShapeError(f"softmax expects a nonempty 1-D array, got shape {arr.shape}")
-    shifted = arr - arr.max()
-    e = np.exp(shifted)
-    return e / e.sum()
 
 
 def finite_diff_grad(

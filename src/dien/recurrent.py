@@ -12,7 +12,9 @@ The evolution cells reuse the same gates but let a scalar relevance score a
 steer the blend: the input-scaling cell multiplies x by a before a plain
 step, the gate-replacing cell uses a itself in place of u, and the
 gate-scaling cell uses a*u.  All step functions broadcast over a leading
-batch axis, so the same code serves one vector or a batch of rows.
+batch axis, so the same code serves one vector or a batch of rows.  The
+batched engine runs the plain, gate-replacing and gate-scaling cells through
+one time loop that differs only in that blend gate.
 
 Backward passes are hand-derived per cell and consume the gate values cached
 during the forward pass; the finite-difference harness in `training` is the
@@ -117,27 +119,6 @@ class AttentionParams:
         return {"w": self.w}
 
 
-@dataclass
-class InterestTrace:
-    """Hidden states h_1..h_T of the extractor stage.
-
-    Positions at or beyond valid_len repeat the last valid state and are
-    excluded from attention and from the next-behavior loss.
-    """
-
-    hidden: np.ndarray  # (T, n_hidden)
-    valid_len: int
-
-
-@dataclass
-class EvolutionTrace:
-    """Relevance scores and evolved states of the second stage."""
-
-    scores: np.ndarray  # (T,)
-    evolved: np.ndarray  # (T, n_hidden)
-    final: np.ndarray  # (n_hidden,) == evolved[valid_len - 1]
-
-
 # ---------------------------------------------------------------------------
 # step functions (leading batch axis optional)
 # ---------------------------------------------------------------------------
@@ -224,37 +205,29 @@ def aigru_inputs(states, scores) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _as_batch_h0(h0, batch: int, n_hidden: int) -> np.ndarray:
-    if h0 is None:
-        return np.zeros((batch, n_hidden))
-    h0 = np.asarray(h0, dtype=np.float64)
-    return np.broadcast_to(h0, (batch, n_hidden)).copy()
-
-
 def step_masks(valid_lens, batch: int, steps: int) -> np.ndarray:
     lens = np.asarray(valid_lens, dtype=np.int64).reshape(batch)
     return (np.arange(steps)[None, :] < lens[:, None]).astype(np.float64)
 
 
-def gru_forward(params: GruParams, inputs, valid_lens, h0=None):
-    """Run the plain cell over (B, T, n_input) inputs with per-row lengths.
+def _blend_gate(cell, update, score):
+    """What blends h_prev with the candidate: u, a (AGRU) or a*u (AUGRU)."""
+    if cell is None:
+        return update
+    return score if cell == AGRU else score * update
 
+
+def _recur(params: GruParams, inputs, valid_lens, scores=None, cell=None):
+    """The one time loop behind every recurrence, from the zero state.
+
+    `cell` None runs the plain cell; AGRU and AUGRU read the (B, T) scores.
     Rows are frozen once their valid length is exhausted: the state simply
-    carries forward.  Returns the (B, T, n_hidden) states and the cache the
-    backward pass needs.
+    carries forward.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 3 or inputs.shape[1] == 0:
-        raise ShapeError(f"inputs must be (batch, steps, width), got {inputs.shape}")
     batch, steps, _ = inputs.shape
-    if inputs.shape[2] != params.n_input:
-        raise ShapeError(
-            f"input width {inputs.shape[2]} does not match cell input size {params.n_input}"
-        )
     n_h = params.n_hidden
     mask = step_masks(valid_lens, batch, steps)
-    h = _as_batch_h0(h0, batch, n_h)
-
+    h = np.zeros((batch, n_h))
     states = np.empty((batch, steps, n_h))
     prevs = np.empty((batch, steps, n_h))
     upd = np.empty((batch, steps, n_h))
@@ -265,21 +238,23 @@ def gru_forward(params: GruParams, inputs, valid_lens, h0=None):
         prevs[:, t] = h
         u, r, c, hl = _gates(params, inputs[:, t], h)
         upd[:, t], rst[:, t], cnd[:, t], chid[:, t] = u, r, c, hl
+        a = None if cell is None else scores[:, t][:, None]
+        gate = _blend_gate(cell, u, a)
         m = mask[:, t][:, None]
-        h = m * ((1.0 - u) * h + u * c) + (1.0 - m) * h
+        h = m * ((1.0 - gate) * h + gate * c) + (1.0 - m) * h
         states[:, t] = h
     cache = {
-        "kind": "gru", "inputs": inputs, "prevs": prevs, "update": upd,
-        "reset": rst, "cand": cnd, "cand_hid": chid, "mask": mask,
+        "cell": cell, "inputs": inputs, "prevs": prevs, "update": upd, "reset": rst,
+        "cand": cnd, "cand_hid": chid, "mask": mask, "scores": scores,
     }
     return states, cache
 
 
-def _gate_backward(params, grads, cache, t, d_update, d_cand, d_h_prev, want_update=True):
+def _gate_backward(params, grads, cache, t, d_update, d_cand, d_h_prev):
     """Shared gate chain rule for one step; returns (d_x, d_h_prev).
 
-    d_update/d_cand are gradients on u and c; d_h_prev carries the direct
-    blend contribution accumulated so far.
+    d_update/d_cand are gradients on u and c (d_update None when the cell
+    never used u); d_h_prev carries the direct blend contribution so far.
     """
     x = cache["inputs"][:, t]
     h_prev = cache["prevs"][:, t]
@@ -297,7 +272,7 @@ def _gate_backward(params, grads, cache, t, d_update, d_cand, d_h_prev, want_upd
     grads["u_cand"] += d_hl.T @ h_prev
     d_h_prev = d_h_prev + d_hl @ params.u_cand
 
-    if want_update:
+    if d_update is not None:
         u = cache["update"][:, t]
         d_au = d_update * u * (1.0 - u)
         grads["w_update"] += d_au.T @ x
@@ -315,19 +290,19 @@ def _gate_backward(params, grads, cache, t, d_update, d_cand, d_h_prev, want_upd
     return d_x, d_h_prev
 
 
-def gru_backward(params: GruParams, cache, d_states):
-    """Backward through gru_forward.
+def _recur_backward(params: GruParams, cache, d_states):
+    """Backward through _recur.
 
-    d_states holds the upstream gradient on every hidden state.  Returns
-    (parameter grads, d_inputs, d_h0).
+    Returns (parameter grads, d_inputs, d_scores); d_scores is None for the
+    plain cell.  The score couples through the blend gate: directly for
+    AGRU, through a*u for AUGRU.
     """
-    if not isinstance(cache, dict) or cache.get("kind") != "gru":
-        raise UsageError("gru_backward needs the cache produced by gru_forward")
-    d_states = np.asarray(d_states, dtype=np.float64)
+    cell, scores = cache["cell"], cache["scores"]
     inputs = cache["inputs"]
     batch, steps, _ = inputs.shape
     grads = params.zero_grads()
     d_inputs = np.zeros_like(inputs)
+    d_scores = None if cell is None else np.zeros_like(scores)
     carry = np.zeros((batch, params.n_hidden))
     for t in range(steps - 1, -1, -1):
         dh = d_states[:, t] + carry
@@ -337,20 +312,62 @@ def gru_backward(params: GruParams, cache, d_states):
         u = cache["update"][:, t]
         c = cache["cand"][:, t]
         h_prev = cache["prevs"][:, t]
-        d_update = d_raw * (c - h_prev)
-        d_cand = d_raw * u
-        d_h_prev = d_h_prev + d_raw * (1.0 - u)
+        a = None if cell is None else scores[:, t][:, None]
+        gate = _blend_gate(cell, u, a)
+        d_gate = d_raw * (c - h_prev)
+        if cell is None:
+            d_update = d_gate
+        elif cell == AGRU:
+            d_scores[:, t] = d_gate.sum(axis=1)
+            d_update = None
+        else:
+            d_scores[:, t] = (d_gate * u).sum(axis=1)
+            d_update = d_gate * a
+        d_cand = d_raw * gate
+        d_h_prev = d_h_prev + d_raw * (1.0 - gate)
         d_x, carry = _gate_backward(params, grads, cache, t, d_update, d_cand, d_h_prev)
         d_inputs[:, t] = d_x
-    return grads, d_inputs, carry
+    return grads, d_inputs, d_scores
 
 
-def evolve_forward(params: GruParams, states, scores, valid_lens, variant: str, h0=None):
+def gru_forward(params: GruParams, inputs, valid_lens):
+    """Run the plain cell over (B, T, n_input) inputs with per-row lengths.
+
+    Returns the (B, T, n_hidden) states and the cache the backward pass
+    needs; rows past their valid length repeat their last state.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 3 or inputs.shape[1] == 0:
+        raise ShapeError(f"inputs must be (batch, steps, width), got {inputs.shape}")
+    if inputs.shape[2] != params.n_input:
+        raise ShapeError(
+            f"input width {inputs.shape[2]} does not match cell input size {params.n_input}"
+        )
+    states, cache = _recur(params, inputs, valid_lens)
+    cache["kind"] = "gru"
+    return states, cache
+
+
+def gru_backward(params: GruParams, cache, d_states):
+    """Backward through gru_forward.
+
+    d_states holds the upstream gradient on every hidden state.  Returns
+    (parameter grads, d_inputs).
+    """
+    if not isinstance(cache, dict) or cache.get("kind") != "gru":
+        raise UsageError("gru_backward needs the cache produced by gru_forward")
+    grads, d_inputs, _ = _recur_backward(params, cache, np.asarray(d_states, dtype=np.float64))
+    return grads, d_inputs
+
+
+def evolve_forward(params: GruParams, states, scores, valid_lens, variant: str):
     """Run one evolution cell over the interest states.
 
     `states` is (B, T, n_hidden), `scores` the matching (B, T) relevance
-    weights.  Masked positions carry the evolved state forward unchanged.
-    Returns (evolved states, final state per row, cache).
+    weights.  The input-scaling cell scales the states and runs the plain
+    loop; the other two gate the blend with the scores.  Masked positions
+    carry the evolved state forward unchanged.  Returns (evolved states,
+    final state per row, cache).
     """
     if variant not in EVOLUTION_VARIANTS:
         raise ConfigError(f"unknown evolution variant {variant!r}")
@@ -363,39 +380,15 @@ def evolve_forward(params: GruParams, states, scores, valid_lens, variant: str, 
             f"scores shape {scores.shape} does not match states shape {states.shape}"
         )
     _check_score(scores)
-    batch, steps, n_h = states.shape
+    batch = states.shape[0]
     lens = np.asarray(valid_lens, dtype=np.int64).reshape(batch)
-
     if variant == AIGRU:
-        scaled = aigru_inputs(states, scores)
-        evolved, cache = gru_forward(params, scaled, lens, h0=h0)
-        cache = {"kind": "evolve", "variant": AIGRU, "gru": cache,
-                 "orig_states": states, "scores": scores, "lens": lens}
+        evolved, cache = _recur(params, aigru_inputs(states, scores), lens)
     else:
-        mask = step_masks(lens, batch, steps)
-        h = _as_batch_h0(h0, batch, n_h)
-        evolved = np.empty((batch, steps, n_h))
-        prevs = np.empty((batch, steps, n_h))
-        upd = np.empty((batch, steps, n_h))
-        rst = np.empty((batch, steps, n_h))
-        cnd = np.empty((batch, steps, n_h))
-        chid = np.empty((batch, steps, n_h))
-        for t in range(steps):
-            prevs[:, t] = h
-            u, r, c, hl = _gates(params, states[:, t], h)
-            upd[:, t], rst[:, t], cnd[:, t], chid[:, t] = u, r, c, hl
-            a = scores[:, t][:, None]
-            gate = a if variant == AGRU else a * u
-            m = mask[:, t][:, None]
-            h = m * ((1.0 - gate) * h + gate * c) + (1.0 - m) * h
-            evolved[:, t] = h
-        cache = {
-            "kind": "evolve", "variant": variant, "inputs": states, "prevs": prevs,
-            "update": upd, "reset": rst, "cand": cnd, "cand_hid": chid,
-            "mask": mask, "scores": scores, "lens": lens,
-        }
+        evolved, cache = _recur(params, states, lens, scores, variant)
+    cache.update(kind="evolve", variant=variant, states=states, scores=scores, lens=lens)
     last = np.maximum(lens - 1, 0)
-    final = np.where((lens > 0)[:, None], evolved[np.arange(batch), last], _as_batch_h0(h0, batch, n_h))
+    final = np.where((lens > 0)[:, None], evolved[np.arange(batch), last], 0.0)
     return evolved, final, cache
 
 
@@ -403,68 +396,21 @@ def evolve_backward(params: GruParams, cache, d_evolved, d_final):
     """Backward through evolve_forward.
 
     Returns (parameter grads, gradient on the interest states, gradient on
-    the scores).  The attention path through the scalar gate is included: for
-    the gate-scaling cell the score gradient couples through a*u, for the
-    gate-replacing cell through the blend itself, and for the input-scaling
-    cell through the scaled inputs.
+    the scores).  For the input-scaling cell the score gradient comes
+    through the scaled inputs; the other cells return it from the loop.
     """
     if not isinstance(cache, dict) or cache.get("kind") != "evolve":
         raise UsageError("evolve_backward needs the cache produced by evolve_forward")
     lens = cache["lens"]
-    variant = cache["variant"]
-    scores = cache["scores"]
-    batch = lens.shape[0]
-
-    if variant == AIGRU:
-        states = cache["orig_states"]
-        d_states_seq = np.array(d_evolved, dtype=np.float64)
-        if d_final is not None:
-            last = np.maximum(lens - 1, 0)
-            rows = lens > 0
-            d_states_seq[np.arange(batch)[rows], last[rows]] += d_final[rows]
-        grads, d_scaled, _ = gru_backward(params, cache["gru"], d_states_seq)
-        d_states = d_scaled * scores[..., None]
-        d_scores = (d_scaled * states).sum(axis=2)
-        return grads, d_states, d_scores
-
-    inputs = cache["inputs"]
-    steps = inputs.shape[1]
-    grads = params.zero_grads()
-    d_inputs = np.zeros_like(inputs)
-    d_scores = np.zeros_like(scores)
     d_upstream = np.array(d_evolved, dtype=np.float64)
     if d_final is not None:
         last = np.maximum(lens - 1, 0)
         rows = lens > 0
-        d_upstream[np.arange(batch)[rows], last[rows]] += d_final[rows]
-    carry = np.zeros((batch, params.n_hidden))
-    for t in range(steps - 1, -1, -1):
-        dh = d_upstream[:, t] + carry
-        m = cache["mask"][:, t][:, None]
-        d_raw = dh * m
-        d_h_prev = dh * (1.0 - m)
-        u = cache["update"][:, t]
-        c = cache["cand"][:, t]
-        h_prev = cache["prevs"][:, t]
-        a = scores[:, t][:, None]
-        if variant == AGRU:
-            d_gate = d_raw * (c - h_prev)
-            d_scores[:, t] = d_gate.sum(axis=1)
-            d_cand = d_raw * a
-            d_h_prev = d_h_prev + d_raw * (1.0 - a)
-            d_update = None
-        else:  # gate-scaling cell: gate = a * u
-            gate = a * u
-            d_gate = d_raw * (c - h_prev)
-            d_scores[:, t] = (d_gate * u).sum(axis=1)
-            d_update = d_gate * a
-            d_cand = d_raw * gate
-            d_h_prev = d_h_prev + d_raw * (1.0 - gate)
-        d_x, carry = _gate_backward(
-            params, grads, cache, t, d_update, d_cand, d_h_prev,
-            want_update=variant == AUGRU,
-        )
-        d_inputs[:, t] = d_x
+        d_upstream[np.arange(lens.shape[0])[rows], last[rows]] += d_final[rows]
+    grads, d_inputs, d_scores = _recur_backward(params, cache, d_upstream)
+    if cache["variant"] == AIGRU:
+        d_scores = (d_inputs * cache["states"]).sum(axis=2)
+        d_inputs = d_inputs * cache["scores"][..., None]
     return grads, d_inputs, d_scores
 
 
@@ -515,71 +461,3 @@ def attention_backward(params: AttentionParams, cache, d_scores):
     d_w = d_proj.T @ cache["targets"]
     d_targets = d_proj @ params.w
     return d_w, d_states, d_targets
-
-
-# ---------------------------------------------------------------------------
-# single-sequence surfaces
-# ---------------------------------------------------------------------------
-
-
-def gru_sequence(params: GruParams, inputs, h0, valid_len: int) -> InterestTrace:
-    """Run the plain cell over one sequence of input vectors.
-
-    States after valid_len repeat the last valid state (or h0 when
-    valid_len is 0).
-    """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[0] == 0:
-        raise ShapeError(f"inputs must be a nonempty (steps, width) array, got {inputs.shape}")
-    steps = inputs.shape[0]
-    if not 0 <= valid_len <= steps:
-        raise ShapeError(f"valid_len {valid_len} outside [0, {steps}]")
-    h = np.zeros(params.n_hidden) if h0 is None else np.asarray(h0, dtype=np.float64)
-    hidden = np.empty((steps, params.n_hidden))
-    for t in range(steps):
-        if t < valid_len:
-            h = gru_step(params, inputs[t], h)
-        hidden[t] = h
-    return InterestTrace(hidden=hidden, valid_len=int(valid_len))
-
-
-def attention_scores(trace: InterestTrace, target, params: AttentionParams) -> np.ndarray:
-    """Per-step relevance weights of one trace for one target embedding."""
-    if trace.valid_len < 1:
-        raise DegenerateError("attention over a trace with no valid steps")
-    scores, _ = attention_forward(
-        trace.hidden[None, :, :], np.asarray(target, dtype=np.float64)[None, :],
-        params, [trace.valid_len],
-    )
-    return scores[0]
-
-
-def evolve(params: GruParams, interest: InterestTrace, scores, variant: str, h0=None) -> EvolutionTrace:
-    """Run the chosen evolution cell over one interest trace.
-
-    Masked positions keep the previous evolved state and their score is
-    ignored; the final state is the one at valid_len.
-    """
-    if variant not in EVOLUTION_VARIANTS:
-        raise ConfigError(f"unknown evolution variant {variant!r}")
-    hidden = interest.hidden
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (hidden.shape[0],):
-        raise ShapeError(
-            f"scores shape {scores.shape} does not match {hidden.shape[0]} states"
-        )
-    valid = interest.valid_len
-    h = np.zeros(params.n_hidden) if h0 is None else np.asarray(h0, dtype=np.float64)
-    if variant == AIGRU:
-        inputs = aigru_inputs(hidden, scores)
-        step = lambda t, h: gru_step(params, inputs[t], h)
-    elif variant == AGRU:
-        step = lambda t, h: agru_step(params, hidden[t], h, scores[t])
-    else:
-        step = lambda t, h: augru_step(params, hidden[t], h, scores[t])
-    evolved = np.empty_like(hidden, shape=(hidden.shape[0], params.n_hidden))
-    for t in range(hidden.shape[0]):
-        if t < valid:
-            h = step(t, h)
-        evolved[t] = h
-    return EvolutionTrace(scores=scores.copy(), evolved=evolved, final=h.copy())

@@ -1,7 +1,5 @@
-"""Corpus parsing, review-stream instance building, the planted-interest
-generator, and split mechanics."""
+"""Corpus parsing, the planted-interest generator, and split mechanics."""
 
-import numpy as np
 import pytest
 
 from dien.data import (
@@ -9,7 +7,6 @@ from dien.data import (
     Instance,
     SynthConfig,
     Vocab,
-    build_review_instances,
     parse_corpus,
     save_corpus,
     synth_generate,
@@ -137,50 +134,6 @@ class TestParseCorpus:
         both = sorted(got.train_idx + got.test_idx)
         assert both == list(range(20))
         assert len(got.test_idx) == 5
-
-
-class TestReviewInstances:
-    def test_three_review_user(self):
-        # the extra vocab entries give the negative sampler candidates
-        vocab = Vocab()
-        for tok in ("D", "E"):
-            vocab.add(tok)
-        reviews = {"u1": [("A", "cx"), ("B", "cy"), ("C", "cz")]}
-        build = build_review_instances(reviews, np.random.default_rng(0),
-                                       item_vocab=vocab)
-        assert build.users == 1 and build.skipped == 0
-        pos, neg = build.instances
-        iv = build.item_vocab
-        assert pos.history_items == (iv.id_of("A"), iv.id_of("B"))
-        assert pos.target_item == iv.id_of("C")
-        assert pos.label == 1 and neg.label == 0
-        assert neg.history_items == pos.history_items
-        assert neg.target_item in {iv.id_of("D"), iv.id_of("E")}
-
-    def test_negative_target_never_reviewed(self):
-        rng = np.random.default_rng(1)
-        reviews = {"u": [(f"I{k}", "c") for k in range(6)],
-                   "v": [("X", "c"), ("Y", "c")]}
-        build = build_review_instances(reviews, rng)
-        reviewed = {build.item_vocab.id_of(f"I{k}") for k in range(6)}
-        neg = build.instances[1]
-        assert neg.target_item not in reviewed
-
-    def test_short_user_skipped(self):
-        reviews = {"lonely": [("A", "c")],
-                   "ok": [("A", "c"), ("B", "c")],
-                   "other": [("X", "c"), ("Y", "c")]}
-        build = build_review_instances(reviews, np.random.default_rng(2))
-        assert build.skipped == 1
-        assert len(build.instances) == 4
-
-    def test_shared_vocab_passthrough(self):
-        vocab = Vocab()
-        vocab.add("A")
-        build = build_review_instances({"u": [("A", "c"), ("B", "c")]},
-                                       np.random.default_rng(3), item_vocab=vocab)
-        assert build.item_vocab is vocab
-        assert build.item_vocab.id_of("A") == 1
 
 
 class TestSynthConfig:

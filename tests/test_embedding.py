@@ -1,18 +1,13 @@
-"""Embedding table behavior: lookups, sparse gradient accumulation, the
-weights file round trip, and the single-draw negative sampler."""
+"""Embedding table behavior: lookups, sparse gradient accumulation, and the
+feature assembly the batched engine builds from two tables."""
 
 import numpy as np
 import pytest
 
 from dien.data import Instance
-from dien.embedding import (
-    PAD_ID,
-    EmbeddingTable,
-    FeatureEmbeddings,
-    sample_negative,
-    sample_negative_item,
-)
-from dien.errors import ParseError, ShapeError, VocabularyError
+from dien.embedding import PAD_ID, EmbeddingTable
+from dien.errors import ShapeError, VocabularyError
+from dien.model import DienModel, ModelVariant, forward_batch, make_batch
 
 
 def make_table(vocab=6, dim=3, seed=0):
@@ -72,16 +67,15 @@ class TestTable:
 class TestGradAccumulation:
     def test_repeat_ids_sum(self):
         t = make_table()
-        t.accumulate_grad(2, np.array([1.0, 0.0, 0.0]))
-        t.accumulate_grad(2, np.array([0.5, 1.0, 0.0]))
-        items = t.grad_items()
-        assert set(items) == {2}
-        np.testing.assert_array_equal(items[2], [1.5, 1.0, 0.0])
+        t.accumulate_grad_many([2, 2], [[1.0, 0.0, 0.0], [0.5, 1.0, 0.0]])
+        np.testing.assert_array_equal(t.touched_ids(), [2])
+        np.testing.assert_array_equal(t.grad_columns()[:, 2], [1.5, 1.0, 0.0])
 
     def test_untouched_ids_absent(self):
         t = make_table()
-        t.accumulate_grad(1, np.ones(3))
-        assert set(t.grad_items()) == {1}
+        t.accumulate_grad_many([1], np.ones((1, 3)))
+        np.testing.assert_array_equal(t.touched_ids(), [1])
+        assert not np.any(np.delete(t.grad_columns(), 1, axis=1))
 
     def test_many_equals_loop(self):
         rng = np.random.default_rng(12)
@@ -90,116 +84,52 @@ class TestGradAccumulation:
         grads = rng.standard_normal((40, 3))
         a.accumulate_grad_many(ids, grads)
         for i, g in zip(ids, grads):
-            b.accumulate_grad(int(i), g)
+            b.accumulate_grad_many([i], g[None])
         np.testing.assert_allclose(a.grad_columns(), b.grad_columns(), atol=1e-12)
         np.testing.assert_array_equal(a.touched_ids(), b.touched_ids())
 
     def test_zero_grad_clears(self):
         t = make_table()
-        t.accumulate_grad(4, np.ones(3))
+        t.accumulate_grad_many([4, 1, 4], np.ones((3, 3)))
         t.zero_grad()
-        assert t.grad_items() == {}
+        assert t.touched_ids().size == 0
         np.testing.assert_array_equal(t.grad_columns(), np.zeros((3, 6)))
+        t.accumulate_grad_many([2], np.ones((1, 3)))
+        np.testing.assert_array_equal(t.touched_ids(), [2])
 
     def test_grad_shape_guard(self):
         t = make_table()
         with pytest.raises(ShapeError):
-            t.accumulate_grad(1, np.ones(4))
-
-
-class TestWeightsFile:
-    def test_round_trip_exact(self, tmp_path):
-        t = EmbeddingTable(7, 4, rng=np.random.default_rng(5))
-        p = tmp_path / "emb.txt"
-        t.save(p)
-        back = EmbeddingTable.load(p)
-        assert back.vocab_size == 7 and back.dim == 4
-        np.testing.assert_array_equal(back.weights, t.weights)
-
-    def test_reject_garbage(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text("not a weights file\n")
-        with pytest.raises(ParseError):
-            EmbeddingTable.load(p)
-
-    def test_reject_truncated(self, tmp_path):
-        t = EmbeddingTable(4, 2, rng=np.random.default_rng(6))
-        p = tmp_path / "emb.txt"
-        t.save(p)
-        lines = p.read_text().splitlines(keepends=True)
-        p.write_text("".join(lines[:-1]))
-        with pytest.raises(ParseError):
-            EmbeddingTable.load(p)
-
-
-class TestNegativeSampling:
-    def test_never_excluded(self):
-        rng = np.random.default_rng(13)
-        draws = [sample_negative(rng, 10, 7) for _ in range(2000)]
-        assert 7 not in draws
-        assert all(0 <= d < 10 for d in draws)
-
-    def test_uniform_over_remaining(self):
-        """100k draws from {0..9} \\ {7}: every survivor appears and the
-        counts pass a chi-square uniformity test (8 dof, p > 0.01)."""
-        rng = np.random.default_rng(42)
-        counts = np.zeros(10, dtype=np.int64)
-        for _ in range(100_000):
-            counts[sample_negative(rng, 10, 7)] += 1
-        assert counts[7] == 0
-        observed = np.delete(counts, 7)
-        assert np.all(observed > 0)
-        expected = 100_000 / 9.0
-        chi2 = float(((observed - expected) ** 2 / expected).sum())
-        assert chi2 < 20.09  # critical value at p = 0.01 for 8 dof
-
-    def test_tiny_vocab(self):
-        rng = np.random.default_rng(14)
-        assert all(sample_negative(rng, 2, 0) == 1 for _ in range(20))
-        with pytest.raises(VocabularyError):
-            sample_negative(rng, 1, 0)
-
-    def test_excluded_out_of_range(self):
-        with pytest.raises(VocabularyError):
-            sample_negative(np.random.default_rng(0), 5, 5)
-
-    def test_item_variant_avoids_pad(self):
-        rng = np.random.default_rng(15)
-        draws = {sample_negative_item(rng, 6, 3) for _ in range(3000)}
-        assert draws == {1, 2, 4, 5}
-
-    def test_item_variant_rejects_pad_exclusion(self):
-        with pytest.raises(VocabularyError):
-            sample_negative_item(np.random.default_rng(0), 6, PAD_ID)
+            t.accumulate_grad_many([1], np.ones((1, 4)))
 
 
 class TestFeatureEmbeddings:
-    def make_pair(self):
-        items = EmbeddingTable(8, 2, rng=np.random.default_rng(20))
-        cats = EmbeddingTable(5, 2, rng=np.random.default_rng(21))
-        return items, cats
+    """forward_batch concatenates the item and category halves per step and
+    for the target, and pads with the zero column of id 0."""
+
+    def features(self, inst, pad_to=None):
+        model = DienModel.build(ModelVariant.BASE, 8, 5, 2, 4, (3,), 0.0, seed=20)
+        ctx = forward_batch(model, make_batch([inst], pad_to=pad_to))
+        return model.item_table, model.cat_table, ctx
 
     def test_behavior_concat_order(self):
-        items, cats = self.make_pair()
         inst = Instance((3, 1), (2, 4), target_item=5, target_cat=1, label=1)
-        fe = FeatureEmbeddings.from_instance(items, cats, inst)
-        bv = fe.behavior_vecs()
+        items, cats, ctx = self.features(inst)
+        bv = ctx["behaviors"][0]
         assert bv.shape == (2, 4)
         np.testing.assert_array_equal(bv[0, :2], items.lookup(3))
         np.testing.assert_array_equal(bv[0, 2:], cats.lookup(2))
 
     def test_target_concat(self):
-        items, cats = self.make_pair()
         inst = Instance((1,), (1,), target_item=6, target_cat=3, label=0)
-        fe = FeatureEmbeddings.from_instance(items, cats, inst)
+        items, cats, ctx = self.features(inst)
         np.testing.assert_array_equal(
-            fe.target_vec, np.concatenate([items.lookup(6), cats.lookup(3)])
+            ctx["targets"][0], np.concatenate([items.lookup(6), cats.lookup(3)])
         )
 
     def test_padding_rows_zero(self):
-        items, cats = self.make_pair()
         inst = Instance((2,), (1,), target_item=3, target_cat=2, label=1)
-        fe = FeatureEmbeddings.from_instance(items, cats, inst, pad_to=4)
-        assert fe.valid_len == 1
-        assert fe.item_vecs.shape == (4, 2)
-        np.testing.assert_array_equal(fe.behavior_vecs()[1:], np.zeros((3, 4)))
+        _, _, ctx = self.features(inst, pad_to=4)
+        np.testing.assert_array_equal(ctx["mask"][0], [1.0, 0.0, 0.0, 0.0])
+        assert ctx["behaviors"].shape == (1, 4, 4)
+        np.testing.assert_array_equal(ctx["behaviors"][0, 1:], np.zeros((3, 4)))

@@ -1,33 +1,26 @@
-"""Model assembly: the variants, the losses, the batched engine against the
-per-instance surfaces, and the checkpoint format."""
+"""Model assembly: the variants, the losses, the batched engine against an
+independent per-row loop, and the checkpoint format."""
 
 import numpy as np
 import pytest
 
 from dien.data import Instance
-from dien.embedding import FeatureEmbeddings
 from dien.errors import ConfigError, ParseError, ShapeError, UsageError
 from dien.model import (
     Batch,
     DienModel,
     MlpParams,
     ModelVariant,
-    Prediction,
-    aux_loss,
-    base_forward,
-    dien_forward,
     draw_negative_items,
     forward_batch,
     make_batch,
     mlp_backward,
     mlp_forward,
     model_backward,
-    predict_instance,
-    target_loss,
     total_loss,
 )
 from dien.numerics import finite_diff_grad, max_rel_error
-from dien.recurrent import InterestTrace, gru_sequence, gru_step
+from dien.recurrent import AGRU, AIGRU, agru_step, aigru_inputs, augru_step, gru_step
 
 N_ITEMS = 12
 N_CATS = 6
@@ -47,6 +40,79 @@ def rand_instance(rng, length=None, label=None):
         target_cat=int(rng.integers(1, N_CATS)),
         label=int(rng.integers(0, 2)) if label is None else label,
     )
+
+
+# -- independent oracle: one row at a time through the step functions --------
+
+
+def softmax(z):
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def log_sig(z):
+    return -np.logaddexp(0.0, -z)
+
+
+def run_cell(params, inputs, step=gru_step, scores=None):
+    """States of one sequence from the zero state, one step call per input."""
+    h, out = np.zeros(params.n_hidden), []
+    for t, x in enumerate(inputs):
+        h = step(params, x, h) if scores is None else step(params, x, h, scores[t])
+        out.append(h)
+    return np.array(out)
+
+
+def row_embeddings(model, inst):
+    behaviors = np.concatenate([model.item_table.lookup_many(inst.history_items),
+                                model.cat_table.lookup_many(inst.history_cats)], axis=1)
+    target = np.concatenate([model.item_table.lookup(inst.target_item),
+                             model.cat_table.lookup(inst.target_cat)])
+    return behaviors, target
+
+
+def oracle(model, inst, scores=None):
+    """(click probability, extractor states) of one unpadded row.
+
+    `scores` replaces the attention weights, as forward_batch's override does.
+    """
+    xs, target = row_embeddings(model, inst)
+    states = None
+    if not model.variant.recurrent:
+        interest = xs.sum(axis=0)
+    else:
+        states = run_cell(model.extractor, xs)
+        cell = model.variant.evolution_cell
+        attended = states if cell else run_cell(model.evolver, states)
+        if scores is None:
+            scores = softmax(attended @ (model.attention.w @ target))
+        if cell is None:
+            interest = scores @ attended
+        elif cell == AIGRU:
+            interest = run_cell(model.evolver, aigru_inputs(states, scores))[-1]
+        else:
+            step = agru_step if cell == AGRU else augru_step
+            interest = run_cell(model.evolver, states, step, scores)[-1]
+    z = np.concatenate([interest, target])
+    last = len(model.mlp.weights) - 1
+    for k, (w, b) in enumerate(zip(model.mlp.weights, model.mlp.biases)):
+        z = w @ z + b
+        z = z if k == last else np.maximum(z, 0.0)
+    return 1.0 / (1.0 + np.exp(-z[0])), states
+
+
+def oracle_aux(model, insts, neg_items, neg_cats):
+    """Next-behavior loss: each state but the last against the next behavior
+    and its impostor, summed over rows and divided by the row count."""
+    total = 0.0
+    for k, inst in enumerate(insts):
+        xs, _ = row_embeddings(model, inst)
+        states = oracle(model, inst)[1]
+        for t in range(len(xs) - 1):
+            neg = np.concatenate([model.item_table.lookup(neg_items[k, t]),
+                                  model.cat_table.lookup(neg_cats[k, t])])
+            total += log_sig(states[t] @ xs[t + 1]) + log_sig(-(states[t] @ neg))
+    return -total / len(insts)
 
 
 class TestVariant:
@@ -152,18 +218,29 @@ class TestMlp:
             mlp_backward(mlp, {"kind": "gru"}, np.zeros(1))
 
 
+def zero_mlp(model):
+    for arr in model.mlp.arrays().values():
+        arr[...] = 0.0
+    return model
+
+
+def probs_of(model, insts, **kw):
+    return forward_batch(model, make_batch(insts, **kw))["probs"]
+
+
 class TestBaseForward:
     def test_zero_everything_gives_half(self):
-        mlp = MlpParams(weights=[np.zeros((1, 8))], biases=[np.zeros(1)])
-        emb = FeatureEmbeddings(item_vecs=np.zeros((3, 2)), cat_vecs=np.zeros((3, 2)),
-                                target_vec=np.zeros(4), valid_len=3)
-        assert base_forward(emb, mlp).p == 0.5
+        model = zero_mlp(build(ModelVariant.BASE))
+        rng = np.random.default_rng(90)
+        np.testing.assert_array_equal(probs_of(model, [rand_instance(rng)]), [0.5])
 
     def test_empty_history_still_in_open_interval(self):
         model = build(ModelVariant.BASE)
-        emb = FeatureEmbeddings(item_vecs=np.zeros((1, 3)), cat_vecs=np.zeros((1, 3)),
-                                target_vec=np.ones(6), valid_len=0)
-        p = base_forward(emb, model.mlp).p
+        empty = Batch(item_ids=np.zeros((1, 1), dtype=np.int64),
+                      cat_ids=np.zeros((1, 1), dtype=np.int64), valid=np.array([0]),
+                      target_items=np.array([1]), target_cats=np.array([1]),
+                      labels=np.array([1.0]))
+        p = forward_batch(model, empty)["probs"][0]
         assert 0.0 < p < 1.0
 
     def test_history_permutation_invariant(self):
@@ -176,33 +253,31 @@ class TestBaseForward:
             history_cats=tuple(inst.history_cats[i] for i in perm),
             target_item=inst.target_item, target_cat=inst.target_cat, label=inst.label,
         )
-        a = predict_instance(model, inst).p
-        b = predict_instance(model, shuffled).p
+        a, b = probs_of(model, [inst, shuffled])
         assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestDienForward:
     def test_rejects_base(self):
+        # the sum-pooling variant has no attention scores to replace
         model = build(ModelVariant.BASE)
-        emb = FeatureEmbeddings(item_vecs=np.zeros((1, 3)), cat_vecs=np.zeros((1, 3)),
-                                target_vec=np.zeros(6), valid_len=1)
+        batch = make_batch([rand_instance(np.random.default_rng(0), length=1)])
         with pytest.raises(UsageError):
-            dien_forward(model, emb)
+            forward_batch(model, batch, scores=np.ones((1, 1)))
 
     def test_single_step_uniform_attention_is_one_gru_step(self):
         # with one valid step the uniform score is 1.0 and the gate-scaling
         # cell collapses to a plain step from the zero state
         model = build(ModelVariant.GRU_AUGRU, seed=7)
         rng = np.random.default_rng(92)
-        inst = rand_instance(rng, length=1)
-        emb = FeatureEmbeddings.from_instance(model.item_table, model.cat_table, inst)
-        pred = dien_forward(model, emb, forced_scores=np.array([1.0]))
-        trace = np.asarray(emb.behavior_vecs())
-        h1 = gru_step(model.extractor, trace[0], np.zeros(6))
+        batch = make_batch([rand_instance(rng, length=1)])
+        forced = forward_batch(model, batch, scores=np.ones((1, 1)))
+        x = forced["behaviors"][0, 0]
+        h1 = gru_step(model.extractor, x, np.zeros(6))
         h_final = gru_step(model.evolver, h1, np.zeros(6))
-        np.testing.assert_allclose(pred.evolution.final, h_final, atol=1e-12)
-        auto = dien_forward(model, emb)
-        assert auto.p == pytest.approx(pred.p, abs=1e-12)
+        np.testing.assert_allclose(forced["evolved"][0, 0], h_final, atol=1e-12)
+        auto = forward_batch(model, batch)
+        assert auto["probs"][0] == pytest.approx(forced["probs"][0], abs=1e-12)
 
     def test_order_sensitivity(self):
         rng = np.random.default_rng(93)
@@ -213,8 +288,7 @@ class TestDienForward:
             target_item=inst.target_item, target_cat=inst.target_cat, label=inst.label,
         )
         assert inst.history_items != reversed_inst.history_items
-        a = predict_instance(model, inst).p
-        b = predict_instance(model, reversed_inst).p
+        a, b = probs_of(model, [inst, reversed_inst])
         assert abs(a - b) > 1e-9
 
     def test_padding_beyond_valid_is_inert(self):
@@ -223,79 +297,110 @@ class TestDienForward:
                         ModelVariant.GRU_AGRU, ModelVariant.DIEN):
             model = build(variant, seed=9)
             inst = rand_instance(rng, length=4)
-            tight = FeatureEmbeddings.from_instance(model.item_table, model.cat_table, inst)
-            padded = FeatureEmbeddings.from_instance(
-                model.item_table, model.cat_table, inst, pad_to=9)
-            assert dien_forward(model, padded).p == pytest.approx(
-                dien_forward(model, tight).p, abs=1e-12)
+            assert probs_of(model, [inst], pad_to=9)[0] == pytest.approx(
+                probs_of(model, [inst])[0], abs=1e-12)
 
     def test_probability_open_interval_all_variants(self):
         rng = np.random.default_rng(95)
         for variant in ModelVariant:
             model = build(variant, seed=10)
-            for _ in range(10):
-                p = predict_instance(model, rand_instance(rng)).p
-                assert 0.0 < p < 1.0
+            p = probs_of(model, [rand_instance(rng) for _ in range(10)])
+            assert np.all((0.0 < p) & (p < 1.0))
+
+
+def logit_by_target(logits):
+    """A one-layer sum-pooling model whose logit is logits[k] for target
+    item k + 1, whatever the history."""
+    model = build(ModelVariant.BASE, embed_dim=1, mlp_hidden=())
+    model.item_table.weights[0, 1:len(logits) + 1] = logits
+    model.mlp.weights[0][...] = [[0.0, 0.0, 1.0, 0.0]]  # the target item's coordinate
+    model.mlp.biases[0][...] = 0.0
+    return model
+
+
+def click_loss(model, labels):
+    insts = [Instance((1,), (1,), k + 1, 1, y) for k, y in enumerate(labels)]
+    return forward_batch(model, make_batch(insts))["l_target"]
+
+
+def aux_ctx(model, insts, neg_items, neg_cats):
+    return forward_batch(model, make_batch(insts), negatives=(np.asarray(neg_items),
+                                                              np.asarray(neg_cats)))
+
+
+def constant_extractor(model, b_cand):
+    """Zero extractor weights: every state is (1 - 2^-t) tanh(b_cand)."""
+    for arr in model.extractor.arrays().values():
+        arr[...] = 0.0
+    model.extractor.b_cand[...] = b_cand
+    return model
 
 
 class TestLosses:
     def test_target_loss_uninformative(self):
-        assert target_loss([0.5], [1]) == pytest.approx(np.log(2.0), abs=1e-12)
+        model = zero_mlp(build(ModelVariant.BASE))
+        assert click_loss(model, [1]) == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_target_loss_formula_oracle(self):
-        got = target_loss([Prediction(p=0.9), Prediction(p=0.1)], [1, 0])
-        assert got == pytest.approx(0.1053605, abs=1e-7)
+        got = click_loss(logit_by_target([np.log(9.0), -np.log(9.0)]), [1, 0])
+        assert got == pytest.approx(0.1053605, abs=1e-7)  # -log 0.9
 
     def test_target_loss_perfect_fit_limit(self):
-        assert target_loss([1.0, 0.0], [1, 0]) < 1e-10
-
-    def test_target_loss_guards(self):
-        with pytest.raises(UsageError):
-            target_loss([], [])
-        with pytest.raises(ShapeError):
-            target_loss([0.5], [1, 0])
-        with pytest.raises(UsageError):
-            target_loss([0.5], [2])
+        assert click_loss(logit_by_target([40.0, -40.0]), [1, 0]) < 1e-10
 
     def test_aux_loss_uninformative(self):
-        trace = InterestTrace(hidden=np.zeros((2, 2)), valid_len=2)
-        got = aux_loss([trace], [np.ones((1, 2))], [np.ones((1, 2))])
-        assert got == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
+        # zero states score every behavior 0: log 2 per term, two terms
+        model = constant_extractor(build(ModelVariant.DIEN), 0.0)
+        ctx = aux_ctx(model, [Instance((1, 2), (1, 2), 3, 3, 1)], [[4]], [[4]])
+        assert ctx["l_aux"] == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
 
     def test_aux_loss_formula_oracle(self):
-        trace = InterestTrace(hidden=np.array([[1.0, 0.0], [9.0, 9.0]]), valid_len=2)
-        got = aux_loss([trace], [np.array([[1.0, 0.0]])], [np.array([[0.0, 1.0]])])
-        assert got == pytest.approx(1.0064089, abs=1e-7)
+        model = build(ModelVariant.DIEN, seed=20)
+        ctx = aux_ctx(model, [Instance((1, 2), (1, 2), 3, 3, 1)], [[4]], [[5]])
+        h = ctx["states1"][0, 0]
+        pos = np.concatenate([model.item_table.lookup(2), model.cat_table.lookup(2)])
+        neg = np.concatenate([model.item_table.lookup(4), model.cat_table.lookup(5)])
+        expect = -(np.log(1.0 / (1.0 + np.exp(-h @ pos)))
+                   + np.log(1.0 - 1.0 / (1.0 + np.exp(-h @ neg))))
+        assert ctx["l_aux"] == pytest.approx(expect, abs=1e-12)
 
     def test_aux_loss_saturates_to_zero(self):
-        trace = InterestTrace(hidden=np.array([[30.0, 0.0], [0.0, 0.0]]), valid_len=2)
-        got = aux_loss([trace], [np.array([[1.0, 0.0]])], [np.array([[-1.0, 0.0]])])
-        assert 0.0 <= got < 1e-12
+        model = constant_extractor(build(ModelVariant.DIEN), 50.0)  # states 0.5
+        for table, pos, neg in ((model.item_table, 2, 4), (model.cat_table, 2, 5)):
+            table.weights[:, pos] = 100.0
+            table.weights[:, neg] = -100.0
+        ctx = aux_ctx(model, [Instance((1, 2), (1, 2), 3, 3, 1)], [[4]], [[5]])
+        assert 0.0 <= ctx["l_aux"] < 1e-12
 
     def test_aux_loss_positive_and_monotone(self):
-        rng = np.random.default_rng(96)
-        h = rng.standard_normal((3, 4))
-        pos = rng.standard_normal((2, 4))
-        neg = rng.standard_normal((2, 4))
-        trace = InterestTrace(hidden=h, valid_len=3)
-        base_val = aux_loss([trace], [pos], [neg])
-        assert base_val > 0.0
-        better = pos + 0.5 * h[:2]  # raises each positive inner product
-        assert aux_loss([trace], [better], [neg]) < base_val
+        model = build(ModelVariant.DIEN, seed=21)
+        inst = Instance((1, 2), (1, 2), 3, 3, 1)
+        ctx = aux_ctx(model, [inst], [[4]], [[5]])
+        assert ctx["l_aux"] > 0.0
+        # moving the next behavior towards the first state raises its score
+        # and leaves that state alone
+        h = ctx["states1"][0, 0]
+        model.item_table.weights[:, 2] += 0.5 * h[:3]
+        model.cat_table.weights[:, 2] += 0.5 * h[3:]
+        assert aux_ctx(model, [inst], [[4]], [[5]])["l_aux"] < ctx["l_aux"]
 
     def test_aux_loss_single_step_skipped(self):
-        trace = InterestTrace(hidden=np.ones((1, 2)), valid_len=1)
-        assert aux_loss([trace], [np.zeros((0, 2))], [np.zeros((0, 2))]) == 0.0
-
-    def test_aux_loss_width_mismatch(self):
-        trace = InterestTrace(hidden=np.ones((2, 4)), valid_len=2)
-        with pytest.raises(ConfigError):
-            aux_loss([trace], [np.ones((1, 3))], [np.ones((1, 4))])
+        model = build(ModelVariant.DIEN, seed=22)
+        rows = [Instance((1,), (1,), 3, 3, 1), Instance((2,), (2,), 4, 4, 0)]
+        ctx = aux_ctx(model, rows, np.zeros((2, 0), dtype=np.int64),
+                      np.zeros((2, 0), dtype=np.int64))
+        assert ctx["l_aux"] == 0.0
+        # a one-step row beside a longer one adds nothing but its share of B
+        mixed = [Instance((1, 2), (1, 2), 3, 3, 1), Instance((5,), (1,), 4, 4, 0)]
+        alone = aux_ctx(model, mixed[:1], [[4]], [[5]])["l_aux"]
+        both = aux_ctx(model, mixed, [[4], [4]], [[5], [5]])["l_aux"]
+        assert both == pytest.approx(alone / 2.0, abs=1e-12)
 
     def test_aux_loss_normalizes_by_instances(self):
-        trace = InterestTrace(hidden=np.zeros((2, 2)), valid_len=2)
-        one = aux_loss([trace], [np.ones((1, 2))], [np.ones((1, 2))])
-        two = aux_loss([trace, trace], [np.ones((1, 2))] * 2, [np.ones((1, 2))] * 2)
+        model = build(ModelVariant.DIEN, seed=23)
+        inst = Instance((1, 2, 6), (1, 2, 3), 3, 3, 1)
+        one = aux_ctx(model, [inst], [[4, 7]], [[5, 1]])["l_aux"]
+        two = aux_ctx(model, [inst, inst], [[4, 7]] * 2, [[5, 1]] * 2)["l_aux"]
         assert one == pytest.approx(two, abs=1e-12)
 
     def test_total_loss(self):
@@ -350,26 +455,30 @@ class TestBatching:
 
 
 class TestBatchedEngineAgreement:
-    """The padded batch path and the per-instance path are separate code;
-    they must agree to rounding on every variant."""
+    """The padded batch engine against the per-row oracle above, which shares
+    nothing with it but the step functions and the parameters."""
+
+    def batch_rows(self, rng):
+        return [rand_instance(rng, length=n) for n in (3, 1, 5, 2, 4, 5, 1, 2)]
 
     @pytest.mark.parametrize("variant", list(ModelVariant))
     def test_probabilities_match(self, variant):
         rng = np.random.default_rng(101)
         model = build(variant, seed=11)
-        insts = [rand_instance(rng) for _ in range(8)]
+        insts = self.batch_rows(rng)
         probs = forward_batch(model, make_batch(insts))["probs"]
-        for k, inst in enumerate(insts):
-            assert probs[k] == pytest.approx(predict_instance(model, inst).p, abs=1e-10)
+        expect = [oracle(model, inst)[0] for inst in insts]
+        np.testing.assert_allclose(probs, expect, rtol=0.0, atol=1e-10)
 
     def test_click_loss_matches_standalone(self):
         rng = np.random.default_rng(102)
         model = build(ModelVariant.DIEN, seed=12)
-        insts = [rand_instance(rng) for _ in range(8)]
-        batch = make_batch(insts)
-        ctx = forward_batch(model, batch)
-        standalone = target_loss(list(ctx["probs"]), [i.label for i in insts])
-        assert ctx["l_target"] == pytest.approx(standalone, abs=1e-10)
+        insts = self.batch_rows(rng)
+        p = np.array([oracle(model, inst)[0] for inst in insts])
+        y = np.array([inst.label for inst in insts])
+        expect = -np.mean(y * np.log(p) + (1 - y) * np.log(1.0 - p))
+        assert forward_batch(model, make_batch(insts))["l_target"] == pytest.approx(
+            expect, abs=1e-10)
 
     def test_aux_loss_matches_standalone(self):
         rng = np.random.default_rng(103)
@@ -379,21 +488,21 @@ class TestBatchedEngineAgreement:
         neg_items = draw_negative_items(rng, N_ITEMS, batch.item_ids[:, 1:])
         neg_cats = (neg_items - 1) % (N_CATS - 1) + 1
         ctx = forward_batch(model, batch, negatives=(neg_items, neg_cats))
+        expect = oracle_aux(model, insts, neg_items, neg_cats)
+        assert ctx["l_aux"] == pytest.approx(expect, abs=1e-10)
 
-        traces, pos_seqs, neg_seqs = [], [], []
-        for k, inst in enumerate(insts):
-            emb = FeatureEmbeddings.from_instance(model.item_table, model.cat_table, inst)
-            traces.append(gru_sequence(model.extractor, emb.behavior_vecs(), None,
-                                       emb.valid_len))
-            pos_seqs.append(emb.behavior_vecs()[1:])
-            steps = max(emb.valid_len - 1, 0)
-            neg = np.concatenate([
-                model.item_table.lookup_many(neg_items[k, :steps]),
-                model.cat_table.lookup_many(neg_cats[k, :steps]),
-            ], axis=1)
-            neg_seqs.append(neg)
-        standalone = aux_loss(traces, pos_seqs, neg_seqs)
-        assert ctx["l_aux"] == pytest.approx(standalone, abs=1e-10)
+    @pytest.mark.parametrize("variant", [v for v in ModelVariant if v.recurrent])
+    def test_scores_override_matches(self, variant):
+        rng = np.random.default_rng(106)
+        model = build(variant, seed=16)
+        insts = [rand_instance(rng, length=4) for _ in range(3)]
+        scores = rng.uniform(0.0, 1.0, size=(3, 4))
+        ctx = forward_batch(model, make_batch(insts), scores=scores)
+        np.testing.assert_array_equal(ctx["scores"], scores)
+        expect = [oracle(model, inst, scores[k])[0] for k, inst in enumerate(insts)]
+        np.testing.assert_allclose(ctx["probs"], expect, rtol=0.0, atol=1e-10)
+        with pytest.raises(UsageError):
+            model_backward(model, ctx)  # an overridden context is forward-only
 
     def test_zero_alpha_negatives_get_no_gradient(self):
         # the impostor ids only touch the tables through the next-behavior
@@ -408,10 +517,10 @@ class TestBatchedEngineAgreement:
         model.item_table.zero_grad()
         model.cat_table.zero_grad()
         model_backward(model, ctx)
-        item_grads = model.item_table.grad_items()
-        assert 9 in item_grads  # touched by the masked accumulate
-        np.testing.assert_array_equal(item_grads[9], np.zeros(3))
-        assert 0 not in item_grads  # padding never receives gradient
+        touched = model.item_table.touched_ids()
+        assert 9 in touched  # touched by the masked accumulate
+        np.testing.assert_array_equal(model.item_table.grad_columns()[:, 9], np.zeros(3))
+        assert 0 not in touched  # padding never receives gradient
 
     def test_padding_id_never_touched(self):
         rng = np.random.default_rng(105)
@@ -424,8 +533,8 @@ class TestBatchedEngineAgreement:
         model.item_table.zero_grad()
         model.cat_table.zero_grad()
         model_backward(model, ctx)
-        assert 0 not in model.item_table.grad_items()
-        assert 0 not in model.cat_table.grad_items()
+        assert 0 not in model.item_table.touched_ids()
+        assert 0 not in model.cat_table.touched_ids()
 
 
 class TestCheckpoint:

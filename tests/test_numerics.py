@@ -1,50 +1,20 @@
 """Kernel-level checks: frozen-value oracles for the elementwise functions
-and the central-difference gradient oracle that the rest of the suite
-leans on.
+and the attention softmax, and the central-difference gradient oracle that
+the rest of the suite leans on.
 """
 
 import numpy as np
 import pytest
 
-from dien.errors import DomainError, NumericError, ShapeError
+from dien.errors import DegenerateError, DomainError, NumericError, ShapeError
 from dien.numerics import (
     finite_diff_grad,
     log_sigmoid,
-    matmul,
     max_rel_error,
     sigmoid,
-    softmax,
     tanh_act,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), b), b)
-
-    def test_zero_annihilates(self):
-        b = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(matmul(np.zeros((2, 2)), b), np.zeros((2, 3)))
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        np.testing.assert_array_equal(matmul(a, b), [[19.0, 22.0], [43.0, 50.0]])
-
-    def test_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"2x3 by 4x2"):
-            matmul(np.ones((2, 3)), np.ones((4, 2)))
-
-    def test_associative(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            a = rng.standard_normal((4, 3))
-            b = rng.standard_normal((3, 5))
-            c = rng.standard_normal((5, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert max_rel_error(left, right) < 1e-9
+from dien.recurrent import AttentionParams, attention_forward
 
 
 class TestSigmoid:
@@ -110,37 +80,50 @@ class TestTanh:
 
 
 class TestSoftmax:
+    """The library's one softmax is the attention layer's masked one.  With a
+    one-wide state, a unit target and a unit weight, the bilinear logit
+    h_t . (W e) is the state itself, so one row of states is one row of
+    logits."""
+
+    @staticmethod
+    def softmax(logits):
+        logits = np.asarray(logits, dtype=np.float64)
+        scores, _ = attention_forward(logits[None, :, None], np.ones((1, 1)),
+                                      AttentionParams(np.eye(1)), [logits.size])
+        return scores[0]
+
     def test_equal_logits(self):
-        np.testing.assert_allclose(softmax(np.zeros(3)), np.full(3, 1.0 / 3.0), atol=1e-15)
+        np.testing.assert_allclose(self.softmax(np.zeros(3)), np.full(3, 1.0 / 3.0), atol=1e-15)
 
     def test_overflow_safe(self):
-        s = softmax(np.array([1000.0, 0.0]))
+        s = self.softmax(np.array([1000.0, 0.0]))
         assert np.all(np.isfinite(s))
         np.testing.assert_allclose(s, [1.0, 0.0], atol=1e-12)
 
     def test_frozen_value(self):
         np.testing.assert_allclose(
-            softmax(np.array([1.0, 2.0, 3.0])),
+            self.softmax(np.array([1.0, 2.0, 3.0])),
             [0.09003057, 0.24472847, 0.66524096],
             atol=1e-8,
         )
 
     def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            softmax(np.array([]))
+        with pytest.raises(DegenerateError):
+            self.softmax(np.array([]))
 
     def test_partition_of_unity(self):
         # spread kept under ~700 so no shifted exponential underflows to 0.0
         rng = np.random.default_rng(9)
         for _ in range(50):
-            s = softmax(rng.uniform(-350.0, 350.0, size=rng.integers(1, 20)))
+            s = self.softmax(rng.uniform(-350.0, 350.0, size=rng.integers(1, 20)))
             assert abs(s.sum() - 1.0) <= 1e-12
             assert np.all(s > 0.0)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(10)
         logits = rng.standard_normal(7)
-        np.testing.assert_allclose(softmax(logits), softmax(logits + 123.456), atol=1e-12)
+        np.testing.assert_allclose(self.softmax(logits), self.softmax(logits + 123.456),
+                                   atol=1e-12)
 
 
 class TestFiniteDiff:

@@ -18,19 +18,15 @@ from dien.recurrent import (
     AttentionParams,
     EVOLUTION_VARIANTS,
     GruParams,
-    InterestTrace,
     agru_step,
     aigru_inputs,
     attention_backward,
     attention_forward,
-    attention_scores,
     augru_step,
-    evolve,
     evolve_backward,
     evolve_forward,
     gru_backward,
     gru_forward,
-    gru_sequence,
     gru_step,
     step_masks,
 )
@@ -174,8 +170,11 @@ class TestSequenceEngine:
         lens = np.array([6, 3, 1, 0])
         states, _ = gru_forward(p, xs, lens)
         for k in range(4):
-            trace = gru_sequence(p, xs[k], None, int(lens[k]))
-            np.testing.assert_allclose(states[k], trace.hidden, atol=1e-12)
+            h = np.zeros(4)
+            for t in range(6):
+                if t < lens[k]:
+                    h = gru_step(p, xs[k, t], h)
+                np.testing.assert_allclose(states[k, t], h, atol=1e-12)
 
     def test_frozen_rows_repeat_last_state(self):
         rng = np.random.default_rng(52)
@@ -186,11 +185,12 @@ class TestSequenceEngine:
         np.testing.assert_array_equal(states[0, 4], states[0, 1])
 
     def test_zero_length_row_stays_at_h0(self):
+        # every recurrence starts from h0 = 0
         p = rand_params(2, 3, seed=54)
-        xs = np.ones((1, 4, 2))
-        h0 = np.array([1.0, 2.0, 3.0])
-        states, _ = gru_forward(p, xs, [0], h0=h0)
-        np.testing.assert_array_equal(states[0], np.broadcast_to(h0, (4, 3)))
+        xs = np.ones((2, 4, 2))
+        states, _ = gru_forward(p, xs, [0, 4])
+        np.testing.assert_array_equal(states[0], np.zeros((4, 3)))
+        assert np.all(states[1] != 0.0)
 
     def test_input_shape_guards(self):
         p = rand_params(2, 3, seed=55)
@@ -205,13 +205,16 @@ class TestSequenceEngine:
             gru_backward(p, {"kind": "attention"}, np.zeros((1, 1, 3)))
 
     def test_one_step_zero_param_backward(self):
-        # h1 = (1-u) h0 with u = 1/2 and cand independent of h0, so the
-        # gradient of sum(h1) w.r.t. h0 is exactly one half per coordinate
+        # from h0 = 0 with all-zero parameters h1 = u * tanh(b_cand) with
+        # u = 1/2, so the gradient of sum(h1) w.r.t. b_cand is exactly one
+        # half per coordinate and nothing reaches the update gate
         p = zero_params(2, 3)
         xs = np.ones((1, 1, 2))
-        _, cache = gru_forward(p, xs, [1], h0=np.array([1.0, -2.0, 0.5]))
-        _, _, d_h0 = gru_backward(p, cache, np.ones((1, 1, 3)))
-        np.testing.assert_array_equal(d_h0, [[0.5, 0.5, 0.5]])
+        _, cache = gru_forward(p, xs, [1])
+        grads, d_inputs = gru_backward(p, cache, np.ones((1, 1, 3)))
+        np.testing.assert_array_equal(grads["b_cand"], [0.5, 0.5, 0.5])
+        np.testing.assert_array_equal(grads["b_update"], np.zeros(3))
+        np.testing.assert_array_equal(d_inputs, np.zeros((1, 1, 2)))
 
 
 def flat_check(build_loss, arr, analytic, tol=1e-6):
@@ -234,29 +237,20 @@ class TestRecurrentGradients:
         self.p = rand_params(3, 4, seed=61)
         self.xs = rng.standard_normal((3, 5, 3))
         self.lens = np.array([5, 2, 4])
-        self.h0 = rng.standard_normal(4)
         self.proj = rng.standard_normal((3, 5, 4))  # fixed upstream weights
 
-    def loss_forward(self, xs=None, h0=None, params=None):
-        states, _ = gru_forward(params or self.p,
-                                self.xs if xs is None else xs,
-                                self.lens,
-                                h0=self.h0 if h0 is None else h0)
+    def loss_forward(self, xs=None, params=None):
+        states, _ = gru_forward(params or self.p, self.xs if xs is None else xs, self.lens)
         return float((states * self.proj).sum())
 
     def test_input_gradient(self):
-        _, cache = gru_forward(self.p, self.xs, self.lens, h0=self.h0)
-        _, d_inputs, _ = gru_backward(self.p, cache, self.proj)
+        _, cache = gru_forward(self.p, self.xs, self.lens)
+        _, d_inputs = gru_backward(self.p, cache, self.proj)
         flat_check(lambda a: self.loss_forward(xs=a), self.xs, d_inputs)
 
-    def test_initial_state_gradient(self):
-        _, cache = gru_forward(self.p, self.xs, self.lens, h0=self.h0)
-        _, _, d_h0 = gru_backward(self.p, cache, self.proj)
-        flat_check(lambda a: self.loss_forward(h0=a), self.h0, d_h0.sum(axis=0))
-
     def test_parameter_gradients(self):
-        _, cache = gru_forward(self.p, self.xs, self.lens, h0=self.h0)
-        grads, _, _ = gru_backward(self.p, cache, self.proj)
+        _, cache = gru_forward(self.p, self.xs, self.lens)
+        grads, _ = gru_backward(self.p, cache, self.proj)
         for name, arr in self.p.arrays().items():
             def loss(a, name=name):
                 fields = {k: v.copy() for k, v in self.p.arrays().items()}
@@ -370,17 +364,6 @@ class TestAttention:
         with pytest.raises(DegenerateError):
             attention_forward(np.ones((1, 3, 2)), np.ones((1, 2)), params, [0])
 
-    def test_single_trace_wrapper(self):
-        rng = np.random.default_rng(72)
-        params = AttentionParams.init(3, 2, rng)
-        trace = InterestTrace(hidden=rng.standard_normal((4, 3)), valid_len=3)
-        target = rng.standard_normal(2)
-        scores = attention_scores(trace, target, params)
-        batch, _ = attention_forward(trace.hidden[None], target[None], params, [3])
-        np.testing.assert_array_equal(scores, batch[0])
-        with pytest.raises(DegenerateError):
-            attention_scores(InterestTrace(trace.hidden, 0), target, params)
-
     def test_gradients(self):
         rng = np.random.default_rng(73)
         params = AttentionParams.init(4, 3, rng)
@@ -407,40 +390,27 @@ class TestAttention:
 
 
 class TestSingleSequenceSurfaces:
-    def test_gru_sequence_freezes_after_valid(self):
-        rng = np.random.default_rng(80)
-        p = rand_params(2, 3, seed=81)
-        xs = rng.standard_normal((5, 2))
-        trace = gru_sequence(p, xs, None, 2)
-        assert trace.valid_len == 2
-        np.testing.assert_array_equal(trace.hidden[2], trace.hidden[1])
-        np.testing.assert_array_equal(trace.hidden[4], trace.hidden[1])
-
-    def test_gru_sequence_bad_valid_len(self):
-        p = rand_params(2, 3, seed=82)
-        with pytest.raises(ShapeError):
-            gru_sequence(p, np.ones((4, 2)), None, 5)
-
     @pytest.mark.parametrize("variant", EVOLUTION_VARIANTS)
     def test_evolve_matches_batched_engine(self, variant):
+        # one row at a time through the step functions, against the batch
         rng = np.random.default_rng(83)
         p = rand_params(3, 3, seed=84)
-        hidden = rng.standard_normal((6, 3))
-        scores = rng.uniform(0, 1, size=6)
-        trace = InterestTrace(hidden=hidden, valid_len=4)
-        single = evolve(p, trace, scores, variant)
-        batched, final, _ = evolve_forward(p, hidden[None], scores[None], [4], variant)
-        np.testing.assert_allclose(single.evolved, batched[0], atol=1e-12)
-        np.testing.assert_allclose(single.final, final[0], atol=1e-12)
-        np.testing.assert_array_equal(single.final, single.evolved[3])
-
-    def test_evolve_variant_and_shape_guards(self):
-        p = rand_params(2, 2, seed=85)
-        trace = InterestTrace(hidden=np.ones((3, 2)), valid_len=3)
-        with pytest.raises(ConfigError):
-            evolve(p, trace, np.full(3, 0.5), "bogus")
-        with pytest.raises(ShapeError):
-            evolve(p, trace, np.full(4, 0.5), AUGRU)
+        hidden = rng.standard_normal((2, 6, 3))
+        scores = rng.uniform(0, 1, size=(2, 6))
+        lens = [4, 6]
+        batched, final, _ = evolve_forward(p, hidden, scores, lens, variant)
+        for k, n in enumerate(lens):
+            h = np.zeros(3)
+            for t in range(n):
+                x, a = hidden[k, t], scores[k, t]
+                if variant == AIGRU:
+                    h = gru_step(p, a * x, h)
+                else:
+                    h = (agru_step if variant == AGRU else augru_step)(p, x, h, a)
+                np.testing.assert_allclose(batched[k, t], h, atol=1e-12)
+            frozen = np.broadcast_to(batched[k, n - 1], (6 - n, 3))
+            np.testing.assert_array_equal(batched[k, n:], frozen)
+            np.testing.assert_array_equal(final[k], batched[k, n - 1])
 
 
 class TestParamContainers:

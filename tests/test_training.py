@@ -97,7 +97,7 @@ class TestSparseAdam:
         frozen = table.weights[:, 2].copy()
         opt = Adam({}, [table], lr=0.05)
         for k in (0, 1, 3, 4):
-            table.accumulate_grad(k, np.ones(3))
+            table.accumulate_grad_many([k], np.ones((1, 3)))
         opt.step({})
         np.testing.assert_array_equal(table.weights[:, 2], frozen)
         assert not np.array_equal(table.weights[:, 0],
@@ -113,10 +113,10 @@ class TestSparseAdam:
         g_active = np.array([0.3, -0.7])
         for step in range(4):
             dense = np.zeros((2, 3))
-            table.accumulate_grad(0, g_active)
+            table.accumulate_grad_many([0], g_active[None])
             dense[:, 0] = g_active
             if step == 2:
-                table.accumulate_grad(2, np.array([1.0, 1.0]))
+                table.accumulate_grad_many([2], np.ones((1, 2)))
                 dense[:, 2] = 1.0
             opt.step({})
             adam_step(mirror, {"w": dense}, state, lr=0.02)
@@ -128,9 +128,10 @@ class TestSparseAdam:
     def test_consumes_gradient_buffers(self):
         table = EmbeddingTable(3, 2, rng=np.random.default_rng(114))
         opt = Adam({}, [table], lr=0.01)
-        table.accumulate_grad(1, np.ones(2))
+        table.accumulate_grad_many([1], np.ones((1, 2)))
         opt.step({})
-        assert table.grad_items() == {}
+        assert table.touched_ids().size == 0
+        assert not np.any(table.grad_columns())
 
 
 class TestTrain:
