@@ -10,8 +10,9 @@ Logs go to standard error; data goes to files (gradcheck additionally
 prints its report to standard output).  Exit codes: 0 success, 1 invalid
 configuration or input, 2 runtime failure.
 
-The --workers flag parallelizes independent units of work (evaluation
-chunks, repeated training runs).  Work is always split at fixed boundaries
+The train, ablation and synth settings are the fields of TrainConfig and
+SynthConfig, with their defaults.  The eval --workers flag scores
+evaluation chunks on worker threads; chunks are split at fixed boundaries
 and merged in fixed order, so results are identical for any worker count.
 """
 
@@ -21,6 +22,7 @@ import argparse
 import configparser
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .data import SynthConfig, parse_corpus, save_corpus, synth_generate
@@ -58,8 +60,6 @@ def _pstr(raw, key: str) -> str:
 
 
 def _pints(raw, key: str) -> tuple:
-    if isinstance(raw, tuple):
-        return raw
     parts = [p.strip() for p in str(raw).split(",") if p.strip()]
     if not parts:
         raise ConfigError(f"{key}: expected comma-separated integers, got {raw!r}")
@@ -67,66 +67,58 @@ def _pints(raw, key: str) -> tuple:
 
 
 def _pstrs(raw, key: str) -> tuple:
-    if isinstance(raw, tuple):
-        return raw
     parts = [p.strip() for p in str(raw).split(",") if p.strip()]
     if not parts:
         raise ConfigError(f"{key}: expected a comma-separated list, got {raw!r}")
     return tuple(parts)
 
 
-_TRAIN_KEYS = {
-    "variant": _pstr, "alpha": _pfloat, "epochs": _pint, "batch_size": _pint,
-    "learning_rate": _pfloat, "seed": _pint, "embed_dim": _pint,
-    "hidden_size": _pint, "mlp_hidden": _pints, "max_history": _pint,
-}
+def _pvariant(raw, key: str) -> ModelVariant:
+    return ModelVariant.parse(raw)
 
+
+_PARSE_BY_TYPE = {int: _pint, float: _pfloat, tuple: _pints, ModelVariant: _pvariant}
+
+
+def _fields_of(config_cls, only=None, **defaults) -> dict:
+    """key -> (parser, default) for the fields of a config dataclass, the
+    parser chosen by the type of the field's default; keyword arguments
+    replace defaults."""
+    return {f.name: (_PARSE_BY_TYPE[type(f.default)], defaults.get(f.name, f.default))
+            for f in fields(config_cls) if only is None or f.name in only}
+
+
+_REQUIRED = (_pstr, None)  # a path with no default: it must be given
+
+
+# key -> (parser, default) per command
 _SCHEMAS = {
-    "synth": {
-        "n_users": _pint, "n_items": _pint, "n_cats": _pint, "seq_len": _pint,
-        "drift_prob": _pfloat, "noise": _pfloat, "test_fraction": _pfloat,
-        "seed": _pint, "out": _pstr,
-    },
+    "synth": {**_fields_of(SynthConfig), "out": (_pstr, "out_synth")},
     "train": {
-        **_TRAIN_KEYS, "corpus": _pstr, "split_seed": _pint, "out": _pstr,
+        **_fields_of(TrainConfig), "corpus": _REQUIRED, "split_seed": (_pint, 0),
+        "out": (_pstr, "out_train"),
     },
     "eval": {
-        "corpus": _pstr, "checkpoint": _pstr, "seed": _pint, "split_seed": _pint,
-        "max_history": _pint, "workers": _pint, "out": _pstr,
+        "corpus": _REQUIRED, "checkpoint": _REQUIRED, "seed": (_pint, 0),
+        "split_seed": (_pint, 0), "max_history": (_pint, 50), "workers": (_pint, 1),
+        "out": (_pstr, "out_eval"),
     },
     "ablation": {
-        **_TRAIN_KEYS, "corpus": _pstr, "split_seed": _pint, "variants": _pstrs,
-        "n_repeats": _pint, "workers": _pint, "out": _pstr,
+        **_fields_of(TrainConfig), "corpus": _REQUIRED, "split_seed": (_pint, 0),
+        "variants": (_pstrs, ("base", "two_layer_gru_att", "gru_augru", "dien")),
+        "n_repeats": (_pint, 5), "out": (_pstr, "out_ablation"),
     },
     "gradcheck": {
-        "variant": _pstr, "alpha": _pfloat, "embed_dim": _pint,
-        "hidden_size": _pint, "mlp_hidden": _pints, "seed": _pint,
-        "tolerance": _pfloat, "epsilon": _pfloat, "out": _pstr,
+        # toy scale: the finite differences perturb every parameter twice
+        **_fields_of(TrainConfig, ("variant", "alpha", "embed_dim", "mlp_hidden", "seed"),
+                     embed_dim=2, mlp_hidden=(8,)),
+        "tolerance": (_pfloat, 1e-4), "epsilon": (_pfloat, 1e-5),
+        "out": (_pstr, "out_gradcheck"),
     },
     "viz": {
-        "corpus": _pstr, "checkpoint": _pstr, "steps": _pint, "split_seed": _pint,
-        "out": _pstr,
+        "corpus": _REQUIRED, "checkpoint": _REQUIRED, "steps": (_pint, 10),
+        "split_seed": (_pint, 0), "out": (_pstr, "out_viz"),
     },
-}
-
-_TRAIN_DEFAULTS = dict(
-    variant="dien", alpha=1.0, epochs=2, batch_size=128, learning_rate=8e-4,
-    seed=0, embed_dim=16, hidden_size=32, mlp_hidden=(64, 32), max_history=50,
-)
-
-_DEFAULTS = {
-    "synth": dict(n_users=10000, n_items=200, n_cats=10, seq_len=10,
-                  drift_prob=0.3, noise=0.1, test_fraction=0.1, seed=0,
-                  out="out_synth"),
-    "train": dict(_TRAIN_DEFAULTS, split_seed=0, out="out_train"),
-    "eval": dict(seed=0, split_seed=0, max_history=50, workers=1, out="out_eval"),
-    "ablation": dict(_TRAIN_DEFAULTS, split_seed=0, workers=1, n_repeats=5,
-                     variants=("base", "two_layer_gru_att", "gru_augru", "dien"),
-                     out="out_ablation"),
-    "gradcheck": dict(variant="dien", alpha=1.0, embed_dim=2, hidden_size=4,
-                      mlp_hidden=(8,), seed=0, tolerance=1e-4, epsilon=1e-5,
-                      out="out_gradcheck"),
-    "viz": dict(steps=10, split_seed=0, out="out_viz"),
 }
 
 
@@ -145,16 +137,16 @@ def _load_file(path: str, command: str, schema: dict) -> dict:
         for key, raw in cp.items(command):
             if key not in schema:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{command}]")
-            out[key] = schema[key](raw, key)
+            out[key] = schema[key][0](raw, key)
     return out
 
 
 def _resolve(command: str, ns: argparse.Namespace) -> dict:
     schema = _SCHEMAS[command]
-    values = dict(_DEFAULTS[command])
+    values = {key: default for key, (_, default) in schema.items() if default is not None}
     if ns.config:
         values.update(_load_file(ns.config, command, schema))
-    for key, parse in schema.items():
+    for key, (parse, _) in schema.items():
         raw = getattr(ns, key, None)
         if raw is not None:
             values[key] = parse(raw, key)
@@ -165,6 +157,8 @@ def _resolve(command: str, ns: argparse.Namespace) -> dict:
 
 
 def _fmt_value(value) -> str:
+    if isinstance(value, ModelVariant):
+        return value.value
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):
@@ -185,27 +179,17 @@ def _out_dir(values: dict) -> Path:
     return out
 
 
-def _train_config(values: dict) -> TrainConfig:
-    cfg = TrainConfig(
-        variant=ModelVariant.parse(values["variant"]), alpha=values["alpha"],
-        epochs=values["epochs"], batch_size=values["batch_size"],
-        learning_rate=values["learning_rate"], seed=values["seed"],
-        embed_dim=values["embed_dim"], hidden_size=values["hidden_size"],
-        mlp_hidden=tuple(values["mlp_hidden"]), max_history=values["max_history"],
-    )
+def _config(config_cls, values: dict):
+    """The config dataclass built from the resolved settings that name its
+    fields; fields without a setting keep their defaults."""
+    cfg = config_cls(**{f.name: values[f.name] for f in fields(config_cls)
+                        if f.name in values})
     cfg.validate()
     return cfg
 
 
 def cmd_synth(values: dict) -> int:
-    cfg = SynthConfig(
-        n_users=values["n_users"], n_items=values["n_items"],
-        n_cats=values["n_cats"], seq_len=values["seq_len"],
-        drift_prob=values["drift_prob"], noise=values["noise"],
-        seed=values["seed"], test_fraction=values["test_fraction"],
-    )
-    cfg.validate()
-    corpus = synth_generate(cfg)
+    corpus = synth_generate(_config(SynthConfig, values))
     out = _out_dir(values)
     _write_echo(out, "synth", values)
     save_corpus(corpus, out / "corpus.tsv")
@@ -216,7 +200,7 @@ def cmd_synth(values: dict) -> int:
 
 
 def cmd_train(values: dict) -> int:
-    cfg = _train_config(values)
+    cfg = _config(TrainConfig, values)
     corpus = parse_corpus(values["corpus"], split_seed=values["split_seed"])
     model, curves = train(corpus, cfg)
     out = _out_dir(values)
@@ -243,31 +227,25 @@ def cmd_eval(values: dict) -> int:
 
 
 def cmd_ablation(values: dict) -> int:
-    cfg = _train_config(values)
+    cfg = _config(TrainConfig, values)
     variants = [ModelVariant.parse(v) for v in values["variants"]]
     corpus = parse_corpus(values["corpus"], split_seed=values["split_seed"])
-    results = run_ablation(corpus, cfg, variants, n_repeats=values["n_repeats"],
-                           workers=values["workers"])
+    results = run_ablation(corpus, cfg, variants, n_repeats=values["n_repeats"])
     out = _out_dir(values)
     _write_echo(out, "ablation", values)
     metric_rows = []
     for variant, report in results:
         for k, value in enumerate(report.per_seed):
             metric_rows.append((variant, cfg.seed + k, value))
-        log.info("%s: mean auc %.6f, std %.6f", variant.value, report.mean, report.std)
+        log.info("%s: mean auc %.6f, std %.6f", variant.value, report.auc, report.std)
     write_metrics(out / "metrics.csv", metric_rows)
     write_summary(out / "summary.csv", results)
     return 0
 
 
 def cmd_gradcheck(values: dict) -> int:
-    cfg = TrainConfig(
-        variant=ModelVariant.parse(values["variant"]), alpha=values["alpha"],
-        embed_dim=values["embed_dim"], hidden_size=values["hidden_size"],
-        mlp_hidden=tuple(values["mlp_hidden"]), seed=values["seed"],
-    )
-    cfg.validate()
-    report = grad_check(cfg, tolerance=values["tolerance"], epsilon=values["epsilon"])
+    report = grad_check(_config(TrainConfig, values), tolerance=values["tolerance"],
+                        epsilon=values["epsilon"])
     out = _out_dir(values)
     _write_echo(out, "gradcheck", values)
     for line in report.lines():
@@ -311,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     help_hints = {
         "corpus": "corpus TSV path", "checkpoint": "model checkpoint path",
-        "out": "output directory", "workers": "worker threads for parallel sections",
+        "out": "output directory", "workers": "worker threads for scoring evaluation chunks",
         "variants": "comma-separated variant list",
         "mlp_hidden": "comma-separated hidden widths",
     }

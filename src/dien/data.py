@@ -263,6 +263,17 @@ def _items_of_category(cat: int, n_items: int, n_cats: int) -> range:
     return range(cat, n_items + 1, n_cats)
 
 
+def _kth_unseen(seen: list, k: int) -> int:
+    """Position of the k-th (from 0) unseen slot, given the sorted seen
+    positions: the unseen slots are never listed, so a category's size
+    does not matter."""
+    for position in seen:
+        if position > k:
+            break
+        k += 1
+    return k
+
+
 def synth_generate(config: SynthConfig) -> Corpus:
     """Generate a corpus with a planted drifting interest per user.
 
@@ -298,14 +309,13 @@ def synth_generate(config: SynthConfig) -> Corpus:
             hist_items.append(item)
             hist_cats.append(cat)
 
-        seen = set(hist_items)
-        pos_pool = [i for i in _items_of_category(latent, config.n_items, n_cats)
-                    if i not in seen]
-        if not pos_pool:
+        pool = _items_of_category(latent, config.n_items, n_cats)
+        seen = sorted({pool.index(i) for i in hist_items if i in pool})
+        if len(seen) == len(pool):
             raise DegenerateError(
                 f"category {latent} has no unseen items left for a target"
             )
-        pos_item = pos_pool[int(rng.integers(len(pos_pool)))]
+        pos_item = pool[_kth_unseen(seen, int(rng.integers(len(pool) - len(seen))))]
         neg_hop = int(rng.integers(1, n_cats))
         neg_cat = neg_hop if neg_hop < latent else neg_hop + 1
         neg_pool = _items_of_category(neg_cat, config.n_items, n_cats)

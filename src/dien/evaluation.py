@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Corpus, Instance, truncate_history
-from .errors import ConfigError, DegenerateError, ShapeError, UsageError
+from .errors import ConfigError, DegenerateError, NumericError, ShapeError, UsageError
 from .model import DienModel, ModelVariant, forward_batch, make_batch
 from .training import TrainConfig, train
 
@@ -26,27 +26,26 @@ EVAL_CHUNK = 512
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return 0.5 * (last - counts + 1 + last)[group]
 
 
 def auc(scores, labels) -> float:
     """Area under the ROC curve via rank summation.
 
-    Needs both classes present; ties between scores count one half.
+    Needs both classes present and every score finite; ties between scores
+    count one half.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ShapeError(f"scores {scores.shape} vs labels {labels.shape}")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise NumericError(
+            f"{bad.size} non-finite scores, the first {float(scores[bad[0]])} at row {bad[0]}"
+        )
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = scores.size - n_pos
@@ -63,19 +62,17 @@ def auc(scores, labels) -> float:
 class EvalReport:
     """Mean ranking quality over the per-seed runs, with population spread."""
 
-    auc: float
+    auc: float  # mean over per_seed
     n_pos: int
     n_neg: int
     per_seed: list = field(default_factory=list)
-    mean: float = 0.0
     std: float = 0.0
 
     @classmethod
     def from_runs(cls, per_seed: list, n_pos: int, n_neg: int) -> "EvalReport":
         arr = np.asarray(per_seed, dtype=np.float64)
         return cls(auc=float(arr.mean()), n_pos=n_pos, n_neg=n_neg,
-                   per_seed=[float(v) for v in per_seed],
-                   mean=float(arr.mean()), std=float(arr.std()))
+                   per_seed=[float(v) for v in per_seed], std=float(arr.std()))
 
 
 def model_scores(model: DienModel, instances: list, workers: int = 1) -> np.ndarray:
@@ -110,47 +107,31 @@ def evaluate(model: DienModel, instances: list, max_history: int = 50,
                                 int((labels == 0).sum()))
 
 
-def repeat_eval(corpus: Corpus, config: TrainConfig, n_repeats: int = 5,
-                workers: int = 1) -> EvalReport:
-    """Train with seeds seed..seed+n-1 and report per-seed test rankings.
-
-    Repeats are independent end to end, so they may run on worker threads;
-    results are collected in seed order and identical for any worker count.
-    """
+def repeat_eval(corpus: Corpus, config: TrainConfig, n_repeats: int = 5) -> EvalReport:
+    """Train with seeds seed..seed+n-1 and report per-seed test rankings."""
     if n_repeats < 1:
         raise ConfigError(f"n_repeats must be at least 1, got {n_repeats}")
     test = [truncate_history(inst, config.max_history) for inst in corpus.test()]
     if not test:
         raise UsageError("corpus has no test instances")
     labels = np.asarray([inst.label for inst in test])
-
-    def one_run(k: int) -> float:
-        run_cfg = replace(config, seed=config.seed + k)
-        model, _ = train(corpus, run_cfg)
-        return auc(model_scores(model, test), labels)
-
-    if workers > 1 and n_repeats > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(one_run, range(n_repeats)))
-    else:
-        per_seed = [one_run(k) for k in range(n_repeats)]
+    per_seed = []
+    for k in range(n_repeats):
+        model, _ = train(corpus, replace(config, seed=config.seed + k))
+        per_seed.append(auc(model_scores(model, test), labels))
     return EvalReport.from_runs(per_seed, int((labels == 1).sum()),
                                 int((labels == 0).sum()))
 
 
 def run_ablation(corpus: Corpus, config: TrainConfig, variants: list,
-                 n_repeats: int = 5, workers: int = 1) -> list:
+                 n_repeats: int = 5) -> list:
     """repeat_eval once per variant on a shared corpus; list of (variant, report)."""
     if not variants:
         raise ConfigError("ablation needs at least one variant")
     if len(set(variants)) != len(variants):
         raise ConfigError("duplicate variant in ablation list")
-    out = []
-    for variant in variants:
-        report = repeat_eval(corpus, replace(config, variant=variant),
-                             n_repeats=n_repeats, workers=workers)
-        out.append((variant, report))
-    return out
+    return [(variant, repeat_eval(corpus, replace(config, variant=variant), n_repeats))
+            for variant in variants]
 
 
 # ---------------------------------------------------------------------------
@@ -315,4 +296,4 @@ def write_summary(path, rows: list) -> None:
         fh.write("variant,mean,std\n")
         for variant, report in rows:
             name = variant.value if isinstance(variant, ModelVariant) else str(variant)
-            fh.write(f"{name},{float(report.mean)!r},{float(report.std)!r}\n")
+            fh.write(f"{name},{float(report.auc)!r},{float(report.std)!r}\n")

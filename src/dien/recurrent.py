@@ -229,13 +229,11 @@ def _recur(params: GruParams, inputs, valid_lens, scores=None, cell=None):
     mask = step_masks(valid_lens, batch, steps)
     h = np.zeros((batch, n_h))
     states = np.empty((batch, steps, n_h))
-    prevs = np.empty((batch, steps, n_h))
     upd = np.empty((batch, steps, n_h))
     rst = np.empty((batch, steps, n_h))
     cnd = np.empty((batch, steps, n_h))
     chid = np.empty((batch, steps, n_h))
     for t in range(steps):
-        prevs[:, t] = h
         u, r, c, hl = _gates(params, inputs[:, t], h)
         upd[:, t], rst[:, t], cnd[:, t], chid[:, t] = u, r, c, hl
         a = None if cell is None else scores[:, t][:, None]
@@ -244,20 +242,19 @@ def _recur(params: GruParams, inputs, valid_lens, scores=None, cell=None):
         h = m * ((1.0 - gate) * h + gate * c) + (1.0 - m) * h
         states[:, t] = h
     cache = {
-        "cell": cell, "inputs": inputs, "prevs": prevs, "update": upd, "reset": rst,
+        "cell": cell, "inputs": inputs, "outputs": states, "update": upd, "reset": rst,
         "cand": cnd, "cand_hid": chid, "mask": mask, "scores": scores,
     }
     return states, cache
 
 
-def _gate_backward(params, grads, cache, t, d_update, d_cand, d_h_prev):
+def _gate_backward(params, grads, cache, t, h_prev, d_update, d_cand, d_h_prev):
     """Shared gate chain rule for one step; returns (d_x, d_h_prev).
 
     d_update/d_cand are gradients on u and c (d_update None when the cell
     never used u); d_h_prev carries the direct blend contribution so far.
     """
     x = cache["inputs"][:, t]
-    h_prev = cache["prevs"][:, t]
     r = cache["reset"][:, t]
     c = cache["cand"][:, t]
     hl = cache["cand_hid"][:, t]
@@ -304,6 +301,7 @@ def _recur_backward(params: GruParams, cache, d_states):
     d_inputs = np.zeros_like(inputs)
     d_scores = None if cell is None else np.zeros_like(scores)
     carry = np.zeros((batch, params.n_hidden))
+    h0 = np.zeros((batch, params.n_hidden))
     for t in range(steps - 1, -1, -1):
         dh = d_states[:, t] + carry
         m = cache["mask"][:, t][:, None]
@@ -311,7 +309,7 @@ def _recur_backward(params: GruParams, cache, d_states):
         d_h_prev = dh * (1.0 - m)  # frozen rows pass the gradient straight back
         u = cache["update"][:, t]
         c = cache["cand"][:, t]
-        h_prev = cache["prevs"][:, t]
+        h_prev = cache["outputs"][:, t - 1] if t else h0  # the state step t started from
         a = None if cell is None else scores[:, t][:, None]
         gate = _blend_gate(cell, u, a)
         d_gate = d_raw * (c - h_prev)
@@ -325,7 +323,7 @@ def _recur_backward(params: GruParams, cache, d_states):
             d_update = d_gate * a
         d_cand = d_raw * gate
         d_h_prev = d_h_prev + d_raw * (1.0 - gate)
-        d_x, carry = _gate_backward(params, grads, cache, t, d_update, d_cand, d_h_prev)
+        d_x, carry = _gate_backward(params, grads, cache, t, h_prev, d_update, d_cand, d_h_prev)
         d_inputs[:, t] = d_x
     return grads, d_inputs, d_scores
 

@@ -40,8 +40,7 @@ class TrainConfig:
     batch_size: int = 128
     learning_rate: float = 8e-4
     seed: int = 0
-    embed_dim: int = 16
-    hidden_size: int = 32
+    embed_dim: int = 16  # recurrent hidden width is 2 * embed_dim, the behavior width
     mlp_hidden: tuple = (64, 32)
     max_history: int = 50
 
@@ -51,7 +50,7 @@ class TrainConfig:
         for name in ("epochs",):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must not be negative")
-        for name in ("batch_size", "embed_dim", "hidden_size", "max_history"):
+        for name in ("batch_size", "embed_dim", "max_history"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.learning_rate <= 0:
@@ -154,7 +153,7 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[DienModel, list[CurveRec
         raise UsageError("corpus has no training instances")
     model = DienModel.build(
         config.variant, len(corpus.item_vocab), len(corpus.cat_vocab),
-        config.embed_dim, config.hidden_size, config.mlp_hidden,
+        config.embed_dim, 2 * config.embed_dim, config.mlp_hidden,
         config.alpha, seed=config.seed,
     )
     opt = Adam(model.param_arrays(), [model.item_table, model.cat_table],
@@ -252,7 +251,7 @@ def grad_check(config: TrainConfig, tolerance: float = 1e-4,
     config.validate()
     n_items, n_cats = 9, 5
     model = DienModel.build(
-        config.variant, n_items, n_cats, config.embed_dim, config.hidden_size,
+        config.variant, n_items, n_cats, config.embed_dim, 2 * config.embed_dim,
         config.mlp_hidden, config.alpha, seed=config.seed,
     )
     n_params = sum(a.size for a in model.all_arrays().values())

@@ -3,6 +3,7 @@ and one smoke run per subcommand."""
 
 import importlib.metadata
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -19,7 +20,7 @@ from dien.model import DienModel, ModelVariant
 SYNTH_FLAGS = ["--n-users", "80", "--n-items", "120", "--n-cats", "10",
                "--seq-len", "6", "--seed", "7"]
 TINY_TRAIN_FLAGS = ["--epochs", "1", "--batch-size", "32", "--embed-dim", "4",
-                    "--hidden-size", "8", "--mlp-hidden", "8"]
+                    "--mlp-hidden", "8"]
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,21 @@ class TestConfigResolution:
         assert "bogus" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_removed_keys_rejected(self, tmp_path, capsys):
+        # the hidden width is derived from embed_dim, and repeated trainings
+        # run serially: neither is a setting
+        for section, key in (("train", "hidden_size"), ("ablation", "workers")):
+            cfg = self.write_cfg(tmp_path, f"[{section}]\n{key} = 8\n")
+            rc = main([section, "--config", str(cfg), "--corpus", "unused.tsv",
+                       "--out", str(tmp_path / "out")])
+            assert rc == 1
+            assert f"unknown key {key!r}" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--corpus", "unused.tsv", "--hidden-size", "8",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, "[nonsense]\nx = 1\n")
         rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -117,12 +133,21 @@ class TestTrain:
     def test_outputs(self, train_dir):
         model = DienModel.load(train_dir / "model.ckpt")
         assert model.variant is ModelVariant.DIEN
+        header = json.loads((train_dir / "model.ckpt").read_bytes().split(b"\n", 1)[0])
+        assert header["embed_dim"] == 4 and header["hidden_size"] == 8
         curves = (train_dir / "curves.csv").read_text().splitlines()
         assert curves[0] == "epoch,step,l_target,l_aux,l_total"
         assert len(curves) == 1 + 5  # 144 train rows in batches of 32
         echo = (train_dir / "train_config.ini").read_text()
         assert "variant = dien" in echo
         assert "mlp_hidden = 8" in echo
+
+    def test_variant_echoed_by_name(self, corpus_dir, tmp_path):
+        rc = main(["train", "--corpus", str(corpus_dir / "corpus.tsv"),
+                   "--variant", "DIEN", "--epochs", "0", *TINY_TRAIN_FLAGS[2:],
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert "variant = dien" in (tmp_path / "train_config.ini").read_text()
 
     def test_rerun_is_byte_identical(self, corpus_dir, train_dir, tmp_path):
         rc = main(["train", "--corpus", str(corpus_dir / "corpus.tsv"),

@@ -1,5 +1,6 @@
 """Corpus parsing, the planted-interest generator, and split mechanics."""
 
+import numpy as np
 import pytest
 
 from dien.data import (
@@ -7,12 +8,13 @@ from dien.data import (
     Instance,
     SynthConfig,
     Vocab,
+    _kth_unseen,
     parse_corpus,
     save_corpus,
     synth_generate,
     truncate_history,
 )
-from dien.errors import ConfigError, DomainError, ParseError, VocabularyError
+from dien.errors import ConfigError, DegenerateError, DomainError, ParseError, VocabularyError
 
 
 class TestVocab:
@@ -187,6 +189,19 @@ class TestSynthGenerate:
             pos = corpus.instances[k]
             assert pos.target_item not in pos.history_items
             assert corpus.item_cats[pos.target_item] == pos.target_cat
+
+    def test_kth_unseen_matches_listing(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            seen = sorted(set(rng.integers(0, n, size=int(rng.integers(0, n))).tolist()))
+            unseen = [p for p in range(n) if p not in seen]
+            assert [_kth_unseen(seen, k) for k in range(len(unseen))] == unseen
+
+    def test_used_up_category_rejected(self):
+        # 20 items per category: a 50-step history can cover a whole one
+        with pytest.raises(DegenerateError, match="no unseen items"):
+            synth_generate(SynthConfig(seed=5, seq_len=50))
 
     def test_behavior_items_match_their_category(self):
         corpus = synth_generate(SynthConfig(n_users=100, seed=7))

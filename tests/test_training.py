@@ -24,7 +24,7 @@ SMALL_SYNTH = SynthConfig(n_users=60, n_items=40, n_cats=4, seq_len=5, seed=21)
 
 def small_config(**kw):
     defaults = dict(variant=ModelVariant.DIEN, epochs=1, batch_size=16,
-                    embed_dim=4, hidden_size=8, mlp_hidden=(8,), seed=0)
+                    embed_dim=4, mlp_hidden=(8,), seed=0)
     defaults.update(kw)
     return TrainConfig(**defaults)
 
@@ -218,8 +218,8 @@ class TestCurvesFile:
 class TestGradCheck:
     def test_base_and_dien_pass(self):
         for variant in (ModelVariant.BASE, ModelVariant.DIEN):
-            cfg = TrainConfig(variant=variant, embed_dim=2, hidden_size=4,
-                              mlp_hidden=(8,), alpha=0.7, seed=1)
+            cfg = TrainConfig(variant=variant, embed_dim=2, mlp_hidden=(8,),
+                              alpha=0.7, seed=1)
             report = grad_check(cfg)
             assert report.passed(), report.lines()
             _, worst = report.worst()
