@@ -43,7 +43,7 @@ from .evaluation import (
 )
 from .model import DienModel, MlpParams, ModelVariant, total_loss
 from .numerics import finite_diff_grad, log_sigmoid, max_rel_error, sigmoid
-from .recurrent import AttentionParams, GruParams, agru_step, aigru_inputs, augru_step, gru_step
+from .recurrent import AttentionParams, GruParams
 from .training import Adam, CurveRecord, GradCheckReport, TrainConfig, adam_step, grad_check, train
 
 __all__ = [name for name in dir() if not name.startswith("_")]

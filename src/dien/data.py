@@ -158,6 +158,14 @@ def _item_cat_table(instances, n_items: int) -> np.ndarray:
     return cats
 
 
+def _decoded(fh, path):
+    """The lines of a text file; a byte that is not UTF-8 is a ParseError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def parse_corpus(path, split_seed: int = 0,
                  test_fraction: float = DEFAULT_TEST_FRACTION) -> Corpus:
     """Load a tab-separated corpus file, building vocabularies first-seen.
@@ -169,7 +177,7 @@ def parse_corpus(path, split_seed: int = 0,
     cat_vocab = Vocab()
     instances: list[Instance] = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(_decoded(fh, path), start=1):
             line = raw.rstrip("\n")
             if not line:
                 continue

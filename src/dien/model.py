@@ -267,15 +267,23 @@ class DienModel:
     @classmethod
     def load(cls, path) -> "DienModel":
         with open(path, "rb") as fh:
-            header_line = fh.readline()
             try:
-                header = json.loads(header_line)
-            except json.JSONDecodeError as exc:
+                header = json.loads(fh.readline().decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ParseError(f"{path}: bad checkpoint header: {exc}") from None
-            if header.get("format") != "dien-checkpoint" or header.get("version") != 1:
+            if (not isinstance(header, dict) or header.get("format") != "dien-checkpoint"
+                    or header.get("version") != 1):
                 raise ParseError(f"{path}: not a version-1 checkpoint")
+
+            def field(name, parse):
+                try:
+                    return parse(header[name])
+                except (KeyError, TypeError, ValueError):
+                    raise ParseError(f"{path}: bad checkpoint header field {name!r}") from None
+
+            arrays = field("arrays", lambda v: [(str(n), [int(k) for k in s]) for n, s in v])
             blobs = {}
-            for name, shape in header["arrays"]:
+            for name, shape in arrays:
                 count = int(np.prod(shape)) if shape else 1
                 raw = fh.read(count * 8)
                 if len(raw) != count * 8:
@@ -284,12 +292,11 @@ class DienModel:
             if fh.read(1):
                 raise ParseError(f"{path}: trailing bytes after the last array")
 
-        variant = ModelVariant.parse(header["variant"])
-        embed_dim = int(header["embed_dim"])
         model = cls.build(
-            variant, int(header["item_vocab"]), int(header["cat_vocab"]), embed_dim,
-            int(header["hidden_size"]), header["mlp_widths"][1:-1],
-            float(header["alpha"]), seed=0,
+            field("variant", ModelVariant), field("item_vocab", int), field("cat_vocab", int),
+            field("embed_dim", int), field("hidden_size", int),
+            field("mlp_widths", lambda v: [int(w) for w in v])[1:-1],
+            field("alpha", float), seed=0,
         )
         for name, arr in model.all_arrays().items():
             if name not in blobs:
@@ -299,6 +306,8 @@ class DienModel:
                     f"{path}: array {name!r} has shape {blobs[name].shape}, "
                     f"expected {arr.shape}"
                 )
+            if not np.all(np.isfinite(blobs[name])):
+                raise ParseError(f"{path}: array {name!r} holds non-finite values")
             arr[...] = blobs[name]
         return model
 
@@ -401,9 +410,10 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None, scores=None) -
         if two_layer:
             interest = (scores[:, :, None] * states2).sum(axis=1)
         else:
-            evolved, interest, ecache = evolve_forward(
+            evolved, ecache = evolve_forward(
                 model.evolver, states1, scores, batch.valid, model.variant.evolution_cell
             )
+            interest = evolved[:, -1]
             ctx.update(evolved=evolved, ecache=ecache)
         feats = np.concatenate([interest, targets], axis=1)
 
@@ -472,8 +482,9 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
             )
         else:
             d_evolved = np.zeros_like(ctx["evolved"])
+            d_evolved[:, -1] = d_interest
             evolver_grads, d_states1, d_scores = evolve_backward(
-                model.evolver, ctx["ecache"], d_evolved, d_interest
+                model.evolver, ctx["ecache"], d_evolved
             )
             d_w, d_states1_att, d_targets_att = attention_backward(
                 model.attention, ctx["acache"], d_scores

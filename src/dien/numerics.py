@@ -46,11 +46,6 @@ def log_sigmoid(x) -> np.ndarray:
     return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
 
 
-def tanh_act(x) -> np.ndarray:
-    """Elementwise hyperbolic tangent (candidate-state activation)."""
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
 def finite_diff_grad(
     f: Callable[[np.ndarray], float], params, epsilon: float = 1e-5
 ) -> np.ndarray:

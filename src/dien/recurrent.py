@@ -11,14 +11,13 @@ One gated cell computes
 The evolution cells reuse the same gates but let a scalar relevance score a
 steer the blend: the input-scaling cell multiplies x by a before a plain
 step, the gate-replacing cell uses a itself in place of u, and the
-gate-scaling cell uses a*u.  All step functions broadcast over a leading
-batch axis, so the same code serves one vector or a batch of rows.  The
-batched engine runs the plain, gate-replacing and gate-scaling cells through
-one time loop that differs only in that blend gate.
+gate-scaling cell uses a*u.  One batched time loop runs every recurrence;
+the cells differ only in that blend gate, so a unit score gives the plain
+cell and a zero score keeps the state, bit for bit.
 
-Backward passes are hand-derived per cell and consume the gate values cached
-during the forward pass; the finite-difference harness in `training` is the
-safety net for every derivative here.
+Backward passes are hand-derived and consume the gate values cached during
+the forward pass; the finite-difference harness in `training` is the safety
+net for every derivative here.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DegenerateError, DomainError, ShapeError, UsageError
-from .numerics import sigmoid, tanh_act
+from .numerics import sigmoid
 
 AIGRU = "aigru"  # attention scales the cell input
 AGRU = "agru"  # attention replaces the update gate
@@ -120,7 +119,7 @@ class AttentionParams:
 
 
 # ---------------------------------------------------------------------------
-# step functions (leading batch axis optional)
+# batched sequence engine
 # ---------------------------------------------------------------------------
 
 
@@ -129,80 +128,8 @@ def _gates(params: GruParams, x, h_prev):
     update = sigmoid(x @ params.w_update.T + h_prev @ params.u_update.T + params.b_update)
     reset = sigmoid(x @ params.w_reset.T + h_prev @ params.u_reset.T + params.b_reset)
     cand_hid = h_prev @ params.u_cand.T
-    cand = tanh_act(x @ params.w_cand.T + reset * cand_hid + params.b_cand)
+    cand = np.tanh(x @ params.w_cand.T + reset * cand_hid + params.b_cand)
     return update, reset, cand, cand_hid
-
-
-def _check_step_shapes(params: GruParams, x, h_prev):
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    if x.shape[-1] != params.n_input:
-        raise ShapeError(
-            f"input width {x.shape[-1]} does not match w_update input size {params.n_input}"
-        )
-    if h_prev.shape[-1] != params.n_hidden:
-        raise ShapeError(
-            f"state width {h_prev.shape[-1]} does not match u_update size {params.n_hidden}"
-        )
-    return x, h_prev
-
-
-def _check_score(score):
-    arr = np.asarray(score, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError(f"attention score outside [0, 1]: {score!r}")
-    return arr
-
-
-def gru_step(params: GruParams, x, h_prev) -> np.ndarray:
-    """One plain gated step: h = (1 - u) * h_prev + u * cand."""
-    x, h_prev = _check_step_shapes(params, x, h_prev)
-    update, _, cand, _ = _gates(params, x, h_prev)
-    return (1.0 - update) * h_prev + update * cand
-
-
-def agru_step(params: GruParams, x, h_prev, score) -> np.ndarray:
-    """Step with the update gate replaced by the scalar score.
-
-    The update gate is discarded entirely; reset and candidate are computed
-    as in the plain cell and the score blends h_prev with the candidate.
-    """
-    x, h_prev = _check_step_shapes(params, x, h_prev)
-    score = _check_score(score)
-    _, _, cand, _ = _gates(params, x, h_prev)
-    return (1.0 - score) * h_prev + score * cand
-
-
-def augru_step(params: GruParams, x, h_prev, score) -> np.ndarray:
-    """Step with the whole update-gate vector scaled by the score.
-
-    With score == 1 this reduces to gru_step bit for bit; with score == 0 the
-    state is untouched.
-    """
-    x, h_prev = _check_step_shapes(params, x, h_prev)
-    score = _check_score(score)
-    update, _, cand, _ = _gates(params, x, h_prev)
-    scaled = score * update
-    return (1.0 - scaled) * h_prev + scaled * cand
-
-
-def aigru_inputs(states, scores) -> np.ndarray:
-    """Scale each state by its scalar score: the input-scaling cell's inputs.
-
-    Accepts (T, n) states with (T,) scores, or batched (B, T, n) with (B, T).
-    """
-    states = np.asarray(states, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != states.shape[:-1]:
-        raise ShapeError(
-            f"scores shape {scores.shape} does not match states shape {states.shape}"
-        )
-    return states * scores[..., None]
-
-
-# ---------------------------------------------------------------------------
-# batched sequence engine
-# ---------------------------------------------------------------------------
 
 
 def step_masks(valid_lens, batch: int, steps: int) -> np.ndarray:
@@ -328,12 +255,8 @@ def _recur_backward(params: GruParams, cache, d_states):
     return grads, d_inputs, d_scores
 
 
-def gru_forward(params: GruParams, inputs, valid_lens):
-    """Run the plain cell over (B, T, n_input) inputs with per-row lengths.
-
-    Returns the (B, T, n_hidden) states and the cache the backward pass
-    needs; rows past their valid length repeat their last state.
-    """
+def _as_sequence(params: GruParams, inputs) -> np.ndarray:
+    """`inputs` as a float64 (batch, steps >= 1, n_input) array."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3 or inputs.shape[1] == 0:
         raise ShapeError(f"inputs must be (batch, steps, width), got {inputs.shape}")
@@ -341,7 +264,16 @@ def gru_forward(params: GruParams, inputs, valid_lens):
         raise ShapeError(
             f"input width {inputs.shape[2]} does not match cell input size {params.n_input}"
         )
-    states, cache = _recur(params, inputs, valid_lens)
+    return inputs
+
+
+def gru_forward(params: GruParams, inputs, valid_lens):
+    """Run the plain cell over (B, T, n_input) inputs with per-row lengths.
+
+    Returns the (B, T, n_hidden) states and the cache the backward pass
+    needs; rows past their valid length repeat their last state.
+    """
+    states, cache = _recur(params, _as_sequence(params, inputs), valid_lens)
     cache["kind"] = "gru"
     return states, cache
 
@@ -364,48 +296,40 @@ def evolve_forward(params: GruParams, states, scores, valid_lens, variant: str):
     `states` is (B, T, n_hidden), `scores` the matching (B, T) relevance
     weights.  The input-scaling cell scales the states and runs the plain
     loop; the other two gate the blend with the scores.  Masked positions
-    carry the evolved state forward unchanged.  Returns (evolved states,
-    final state per row, cache).
+    carry the evolved state forward unchanged, so `evolved[:, -1]` is each
+    row's final state (the zero state for a row of length 0).  Returns
+    (evolved states, cache).
     """
     if variant not in EVOLUTION_VARIANTS:
         raise ConfigError(f"unknown evolution variant {variant!r}")
-    states = np.asarray(states, dtype=np.float64)
+    states = _as_sequence(params, states)
     scores = np.asarray(scores, dtype=np.float64)
-    if states.ndim != 3:
-        raise ShapeError(f"states must be (batch, steps, width), got {states.shape}")
     if scores.shape != states.shape[:2]:
         raise ShapeError(
             f"scores shape {scores.shape} does not match states shape {states.shape}"
         )
-    _check_score(scores)
-    batch = states.shape[0]
-    lens = np.asarray(valid_lens, dtype=np.int64).reshape(batch)
+    if np.any(scores < 0.0) or np.any(scores > 1.0):
+        raise DomainError(f"attention score outside [0, 1]: {scores!r}")
     if variant == AIGRU:
-        evolved, cache = _recur(params, aigru_inputs(states, scores), lens)
+        evolved, cache = _recur(params, states * scores[..., None], valid_lens)
     else:
-        evolved, cache = _recur(params, states, lens, scores, variant)
-    cache.update(kind="evolve", variant=variant, states=states, scores=scores, lens=lens)
-    last = np.maximum(lens - 1, 0)
-    final = np.where((lens > 0)[:, None], evolved[np.arange(batch), last], 0.0)
-    return evolved, final, cache
+        evolved, cache = _recur(params, states, valid_lens, scores, variant)
+    cache.update(kind="evolve", variant=variant, states=states, scores=scores)
+    return evolved, cache
 
 
-def evolve_backward(params: GruParams, cache, d_evolved, d_final):
+def evolve_backward(params: GruParams, cache, d_evolved):
     """Backward through evolve_forward.
 
-    Returns (parameter grads, gradient on the interest states, gradient on
-    the scores).  For the input-scaling cell the score gradient comes
-    through the scaled inputs; the other cells return it from the loop.
+    d_evolved holds the upstream gradient on every evolved state.  Returns
+    (parameter grads, gradient on the interest states, gradient on the
+    scores).  For the input-scaling cell the score gradient comes through
+    the scaled inputs; the other cells return it from the loop.
     """
     if not isinstance(cache, dict) or cache.get("kind") != "evolve":
         raise UsageError("evolve_backward needs the cache produced by evolve_forward")
-    lens = cache["lens"]
-    d_upstream = np.array(d_evolved, dtype=np.float64)
-    if d_final is not None:
-        last = np.maximum(lens - 1, 0)
-        rows = lens > 0
-        d_upstream[np.arange(lens.shape[0])[rows], last[rows]] += d_final[rows]
-    grads, d_inputs, d_scores = _recur_backward(params, cache, d_upstream)
+    grads, d_inputs, d_scores = _recur_backward(
+        params, cache, np.asarray(d_evolved, dtype=np.float64))
     if cache["variant"] == AIGRU:
         d_scores = (d_inputs * cache["states"]).sum(axis=2)
         d_inputs = d_inputs * cache["scores"][..., None]

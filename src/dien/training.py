@@ -70,10 +70,16 @@ class CurveRecord:
     l_total: float
 
 
-def adam_step(params: dict, grads: dict, state: dict, lr: float,
-              beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-              eps: float = ADAM_EPS) -> dict:
-    """One bias-corrected adaptive update, in place over `params`.
+def _adam_moves(m, v, g, t: int, lr: float):
+    """The one bias-corrected adaptive rule: (new m, new v, parameter step)."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+    step = lr * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+    return m, v, step
+
+
+def adam_step(params: dict, grads: dict, state: dict, lr: float) -> dict:
+    """One adaptive update, in place over `params`.
 
     `state` holds first/second moment dicts keyed like params plus the step
     counter "t"; pass {} to start fresh.  Returns the state for chaining.
@@ -83,22 +89,15 @@ def adam_step(params: dict, grads: dict, state: dict, lr: float,
         state["v"] = {k: np.zeros_like(v) for k, v in params.items()}
         state["t"] = 0
     state["t"] += 1
-    t = state["t"]
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(
                 f"gradient for {name!r} has shape {g.shape}, parameter {p.shape}"
             )
-        m = state["m"][name]
-        v = state["v"][name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        state["m"][name], state["v"][name], step = _adam_moves(
+            state["m"][name], state["v"][name], g, state["t"], lr)
+        p -= step
     return state
 
 
@@ -108,35 +107,24 @@ class Adam:
     kept per id and bias correction from the shared step counter.
     """
 
-    def __init__(self, params: dict, tables: list, lr: float,
-                 beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-                 eps: float = ADAM_EPS):
+    def __init__(self, params: dict, tables: list, lr: float):
         self.params = params
         self.tables = list(tables)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.state: dict = {}
         self._table_m = [np.zeros_like(t.weights) for t in self.tables]
         self._table_v = [np.zeros_like(t.weights) for t in self.tables]
 
     def step(self, grads: dict) -> None:
         """Apply one update; consumes and clears the tables' gradient buffers."""
-        adam_step(self.params, grads, self.state, self.lr, self.beta1, self.beta2, self.eps)
-        t = self.state["t"]
-        c1 = 1.0 - self.beta1**t
-        c2 = 1.0 - self.beta2**t
+        adam_step(self.params, grads, self.state, self.lr)
         for table, m, v in zip(self.tables, self._table_m, self._table_v):
             ids = table.touched_ids()
             if ids.size == 0:
                 continue
-            g = table.grad_columns()[:, ids]
-            m[:, ids] = self.beta1 * m[:, ids] + (1.0 - self.beta1) * g
-            v[:, ids] = self.beta2 * v[:, ids] + (1.0 - self.beta2) * g * g
-            table.weights[:, ids] -= self.lr * (m[:, ids] / c1) / (
-                np.sqrt(v[:, ids] / c2) + self.eps
-            )
+            m[:, ids], v[:, ids], step = _adam_moves(
+                m[:, ids], v[:, ids], table.grad_columns()[:, ids], self.state["t"], self.lr)
+            table.weights[:, ids] -= step
             table.zero_grad()
 
 

@@ -18,15 +18,7 @@ from dien.cli import main
 from dien.data import SynthConfig, synth_generate
 from dien.evaluation import auc, build_viz_probes, export_viz, pca_project, run_ablation
 from dien.model import ModelVariant
-from dien.recurrent import (
-    AIGRU,
-    GruParams,
-    agru_step,
-    augru_step,
-    evolve_forward,
-    gru_forward,
-    gru_step,
-)
+from dien.recurrent import AGRU, AIGRU, AUGRU, GruParams, evolve_forward, gru_forward
 from dien.training import TrainConfig, grad_check, train
 
 ABLATION_VARIANTS = [ModelVariant.BASE, ModelVariant.TWO_LAYER_GRU_ATT,
@@ -93,35 +85,33 @@ def test_analytic_gradients_match_finite_differences():
 
 
 def test_evolution_cell_identities_are_exact():
+    """On the engine every command runs: a unit score gives the plain
+    recurrence (AUGRU, AIGRU, ragged lengths) and a zero score at step t
+    keeps the state of step t-1 (AGRU, AUGRU, full lengths)."""
     rng = np.random.default_rng(7)
-    mismatches = 0
+    mismatches = {f"{AUGRU} unit": 0, f"{AIGRU} unit": 0, f"{AGRU} zero": 0, f"{AUGRU} zero": 0}
     for _ in range(1000):
         width = int(rng.integers(1, 7))
-        p = GruParams.init(width, width, rng)
-        x = rng.standard_normal(width)
-        h = rng.standard_normal(width)
-        if not np.array_equal(augru_step(p, x, h, 1.0), gru_step(p, x, h)):
-            mismatches += 1
-        if not np.array_equal(augru_step(p, x, h, 0.0), h):
-            mismatches += 1
-        if not np.array_equal(agru_step(p, x, h, 0.0), h):
-            mismatches += 1
-    trace_mismatches = 0
-    for _ in range(25):
-        width = int(rng.integers(1, 6))
-        batch, steps = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        batch, steps = int(rng.integers(1, 5)), int(rng.integers(2, 7))
         p = GruParams.init(width, width, rng)
         states = rng.standard_normal((batch, steps, width))
         lens = rng.integers(0, steps + 1, size=batch)
-        ones = np.ones((batch, steps))
-        evolved, final, _ = evolve_forward(p, states, ones, lens, AIGRU)
         plain, _ = gru_forward(p, states, lens)
-        if not (np.array_equal(evolved, plain)):
-            trace_mismatches += 1
-    ok = mismatches == 0 and trace_mismatches == 0
+        for cell in (AUGRU, AIGRU):
+            evolved, _ = evolve_forward(p, states, np.ones((batch, steps)), lens, cell)
+            mismatches[f"{cell} unit"] += not np.array_equal(evolved, plain)
+        scores = rng.uniform(0.0, 1.0, size=(batch, steps))
+        t = int(rng.integers(1, steps))
+        scores[:, t] = 0.0
+        for cell in (AGRU, AUGRU):
+            evolved, _ = evolve_forward(p, states, scores, np.full(batch, steps), cell)
+            mismatches[f"{cell} zero"] += not np.array_equal(evolved[:, t], evolved[:, t - 1])
+    total = sum(mismatches.values())
+    ok = total == 0
     line = verdict(ok, "cell identities",
-                   f"3000 step identities bitwise, 25 unit-score traces "
-                   f"bitwise ({mismatches + trace_mismatches} mismatches)")
+                   f"1000 engine draws, {len(mismatches)} identities bitwise "
+                   f"({total} mismatches: "
+                   + ", ".join(f"{k} {v}" for k, v in mismatches.items()) + ")")
     assert ok, line
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dien
@@ -232,6 +233,60 @@ class TestAblation:
         assert metrics[1].startswith("base,0,")
         assert metrics[2].startswith("gru_augru,0,")
         assert summary[1].split(",")[0] == "base"
+
+
+def _header_edit(edit):
+    """A corruption that rewrites the checkpoint's JSON header line."""
+    def corrupt(raw):
+        head, body = raw.split(b"\n", 1)
+        return json.dumps(edit(json.loads(head))).encode() + b"\n" + body
+    return corrupt
+
+
+# name -> (corruption of the checkpoint bytes, text the error line must hold)
+CORRUPT_CHECKPOINTS = {
+    "header without arrays": (
+        _header_edit(lambda h: {k: v for k, v in h.items() if k != "arrays"}), "'arrays'"),
+    "text embed_dim": (_header_edit(lambda h: {**h, "embed_dim": "x"}), "'embed_dim'"),
+    "list header": (lambda raw: b"[1,2]\n" + raw.split(b"\n", 1)[1], "not a version-1"),
+    "non-UTF-8 header": (lambda raw: raw.replace(b'"variant":"dien"', b'"variant":"di\xe9n"', 1),
+                         "bad checkpoint header"),
+    # the last eight bytes are the head's output bias
+    "NaN weight": (lambda raw: raw[:-8] + np.array([np.nan], dtype="<f8").tobytes(),
+                   "'mlp.b1' holds non-finite"),
+}
+
+
+def _latin1_corpus(raw):
+    lines = raw.splitlines(keepends=True)
+    mid = len(lines) // 2
+    lines[mid] = lines[mid].replace(b"\t", b"\xe9\t", 1)
+    return b"".join(lines)
+
+
+class TestCorruptInputs:
+    """A corrupt checkpoint or corpus fails with exit 1 and one error line
+    naming the file, never with a traceback."""
+
+    @pytest.mark.parametrize("case", [*CORRUPT_CHECKPOINTS, "non-UTF-8 corpus"])
+    def test_exit_1_with_one_line(self, case, corpus_dir, train_dir, tmp_path, capsys):
+        corpus = corpus_dir / "corpus.tsv"
+        if case in CORRUPT_CHECKPOINTS:
+            corrupt, expect = CORRUPT_CHECKPOINTS[case]
+            bad = tmp_path / "model.ckpt"
+            bad.write_bytes(corrupt((train_dir / "model.ckpt").read_bytes()))
+            argv = ["eval", "--checkpoint", str(bad), "--corpus", str(corpus)]
+        else:
+            bad, expect = tmp_path / "corpus.tsv", "not UTF-8"
+            bad.write_bytes(_latin1_corpus(corpus.read_bytes()))
+            argv = ["train", "--corpus", str(bad), *TINY_TRAIN_FLAGS]
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("ERROR ")
+        assert str(bad) in err and expect in err
+        assert not (tmp_path / "out").exists()
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -20,7 +20,7 @@ from dien.model import (
     total_loss,
 )
 from dien.numerics import finite_diff_grad, max_rel_error
-from dien.recurrent import AGRU, AIGRU, agru_step, aigru_inputs, augru_step, gru_step
+from dien.recurrent import AGRU, AIGRU
 
 N_ITEMS = 12
 N_CATS = 6
@@ -42,7 +42,10 @@ def rand_instance(rng, length=None, label=None):
     )
 
 
-# -- independent oracle: one row at a time through the step functions --------
+# -- independent oracle: one row at a time through a flat cell -------------
+#
+# The oracle shares only the parameters with the library: its cell, softmax,
+# sigmoid and head are transcribed here from the equations.
 
 
 def softmax(z):
@@ -50,15 +53,29 @@ def softmax(z):
     return e / e.sum()
 
 
+def sig(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def log_sig(z):
     return -np.logaddexp(0.0, -z)
 
 
-def run_cell(params, inputs, step=gru_step, scores=None):
-    """States of one sequence from the zero state, one step call per input."""
+def cell_step(p, x, h, cell=None, a=None):
+    """One gated step on vectors.  What mixes h with the candidate is the
+    update gate u for the plain cell, the score a for AGRU and a*u for AUGRU."""
+    u = sig(p.w_update @ x + p.u_update @ h + p.b_update)
+    r = sig(p.w_reset @ x + p.u_reset @ h + p.b_reset)
+    c = np.tanh(p.w_cand @ x + r * (p.u_cand @ h) + p.b_cand)
+    g = u if cell is None else (a if cell == AGRU else a * u)
+    return (1.0 - g) * h + g * c
+
+
+def run_cell(params, inputs, cell=None, scores=None):
+    """States of one sequence from the zero state, one step per input."""
     h, out = np.zeros(params.n_hidden), []
     for t, x in enumerate(inputs):
-        h = step(params, x, h) if scores is None else step(params, x, h, scores[t])
+        h = cell_step(params, x, h, cell, None if scores is None else scores[t])
         out.append(h)
     return np.array(out)
 
@@ -89,16 +106,15 @@ def oracle(model, inst, scores=None):
         if cell is None:
             interest = scores @ attended
         elif cell == AIGRU:
-            interest = run_cell(model.evolver, aigru_inputs(states, scores))[-1]
+            interest = run_cell(model.evolver, states * scores[:, None])[-1]
         else:
-            step = agru_step if cell == AGRU else augru_step
-            interest = run_cell(model.evolver, states, step, scores)[-1]
+            interest = run_cell(model.evolver, states, cell, scores)[-1]
     z = np.concatenate([interest, target])
     last = len(model.mlp.weights) - 1
     for k, (w, b) in enumerate(zip(model.mlp.weights, model.mlp.biases)):
         z = w @ z + b
         z = z if k == last else np.maximum(z, 0.0)
-    return 1.0 / (1.0 + np.exp(-z[0])), states
+    return sig(z[0]), states
 
 
 def oracle_aux(model, insts, neg_items, neg_cats):
@@ -273,8 +289,8 @@ class TestDienForward:
         batch = make_batch([rand_instance(rng, length=1)])
         forced = forward_batch(model, batch, scores=np.ones((1, 1)))
         x = forced["behaviors"][0, 0]
-        h1 = gru_step(model.extractor, x, np.zeros(6))
-        h_final = gru_step(model.evolver, h1, np.zeros(6))
+        h1 = cell_step(model.extractor, x, np.zeros(6))
+        h_final = cell_step(model.evolver, h1, np.zeros(6))
         np.testing.assert_allclose(forced["evolved"][0, 0], h_final, atol=1e-12)
         auto = forward_batch(model, batch)
         assert auto["probs"][0] == pytest.approx(forced["probs"][0], abs=1e-12)
@@ -456,7 +472,7 @@ class TestBatching:
 
 class TestBatchedEngineAgreement:
     """The padded batch engine against the per-row oracle above, which shares
-    nothing with it but the step functions and the parameters."""
+    nothing with it but the parameters."""
 
     def batch_rows(self, rng):
         return [rand_instance(rng, length=n) for n in (3, 1, 5, 2, 4, 5, 1, 2)]
@@ -571,6 +587,14 @@ class TestCheckpoint:
         model.save(path)
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(ParseError, match="trailing"):
+            DienModel.load(path)
+
+    def test_non_finite_array_rejected(self, tmp_path):
+        model = build(ModelVariant.DIEN, seed=20)
+        model.evolver.b_cand[1] = np.nan
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        with pytest.raises(ParseError, match="'evolver.b_cand' holds non-finite"):
             DienModel.load(path)
 
     def test_garbage_rejected(self, tmp_path):

@@ -12,9 +12,8 @@ from dien.numerics import (
     log_sigmoid,
     max_rel_error,
     sigmoid,
-    tanh_act,
 )
-from dien.recurrent import AttentionParams, attention_forward
+from dien.recurrent import AttentionParams, GruParams, attention_forward, gru_forward
 
 
 class TestSigmoid:
@@ -60,21 +59,32 @@ class TestLogSigmoid:
 
 
 class TestTanh:
+    """The candidate activation, read through one engine step: with every
+    parameter zero but a unit input-to-candidate weight, the first state
+    from h0 = 0 is u * tanh(x) with u = 1/2 exactly, one row per value."""
+
+    @staticmethod
+    def tanh_act(x):
+        z, one = np.zeros((1, 1)), np.ones((1, 1))
+        p = GruParams(z, z, np.zeros(1), z, z, np.zeros(1), one, z, np.zeros(1))
+        states, _ = gru_forward(p, np.reshape(x, (-1, 1, 1)), np.ones(np.size(x)))
+        return 2.0 * states[:, 0, 0]
+
     def test_origin(self):
-        np.testing.assert_array_equal(tanh_act(np.zeros(1)), [0.0])
+        np.testing.assert_array_equal(self.tanh_act(np.zeros(1)), [0.0])
 
     def test_odd(self):
         rng = np.random.default_rng(6)
         x = rng.uniform(-10, 10, size=200)
-        np.testing.assert_array_equal(tanh_act(-x), -tanh_act(x))
+        np.testing.assert_array_equal(self.tanh_act(-x), -self.tanh_act(x))
 
     def test_frozen_value(self):
-        np.testing.assert_allclose(tanh_act(np.array([1.0])), [0.7615941560], atol=1e-10)
+        np.testing.assert_allclose(self.tanh_act(np.array([1.0])), [0.7615941560], atol=1e-10)
 
     def test_open_range_where_representable(self):
         rng = np.random.default_rng(8)
         x = rng.uniform(-18, 18, size=5000)
-        t = tanh_act(x)
+        t = self.tanh_act(x)
         assert np.all(t > -1.0)
         assert np.all(t < 1.0)
 

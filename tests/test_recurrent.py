@@ -1,8 +1,8 @@
 """Recurrent cells, attention, and evolution cells.
 
 The backward passes are hand-derived, so every gradient surface here is
-cross-checked against central finite differences; the step functions are
-additionally checked against straight-line re-transcriptions of the gate
+cross-checked against central finite differences; the engine's time loop is
+additionally checked against a straight-line re-transcription of the gate
 equations, and the cell identities (unit score, zero score) are exact.
 """
 
@@ -18,16 +18,12 @@ from dien.recurrent import (
     AttentionParams,
     EVOLUTION_VARIANTS,
     GruParams,
-    agru_step,
-    aigru_inputs,
     attention_backward,
     attention_forward,
-    augru_step,
     evolve_backward,
     evolve_forward,
     gru_backward,
     gru_forward,
-    gru_step,
     step_masks,
 )
 
@@ -45,115 +41,158 @@ def rand_params(n_input, n_hidden, seed):
     return GruParams.init(n_input, n_hidden, np.random.default_rng(seed))
 
 
-def reference_gru_step(p, x, h):
+def reference_gru_step(p, x, h, cell=None, a=None):
     """Independent transcription of the gate equations, kept deliberately
-    flat so a transcription slip in the library shows up as a mismatch."""
+    flat so a transcription slip in the library shows up as a mismatch.
+    What mixes h with the candidate is the update gate u for the plain cell,
+    the score a for AGRU and a*u for AUGRU."""
     u = sigmoid(x @ p.w_update.T + h @ p.u_update.T + p.b_update)
     r = sigmoid(x @ p.w_reset.T + h @ p.u_reset.T + p.b_reset)
     c = np.tanh(x @ p.w_cand.T + r * (h @ p.u_cand.T) + p.b_cand)
-    return (1.0 - u) * h + u * c
+    g = u if cell is None else (a if cell == AGRU else a * u)
+    return (1.0 - g) * h + g * c
+
+
+def reference_states(p, xs, scores=None, variant=None):
+    """The engine's full-length (B, T, n) states, one reference step per
+    time step over the whole batch, so the matrix products match the
+    engine's and agreement is bitwise."""
+    h, out = np.zeros((xs.shape[0], p.n_hidden)), []
+    for t in range(xs.shape[1]):
+        a = None if scores is None else scores[:, t][:, None]
+        if variant == AIGRU:
+            h = reference_gru_step(p, xs[:, t] * a, h)
+        else:
+            h = reference_gru_step(p, xs[:, t], h, variant, a)
+        out.append(h)
+    return np.stack(out, axis=1)
+
+
+def input_driven_params(n):
+    """All-zero parameters but an identity input-to-candidate map, so u is
+    one half throughout and a zero input gives a zero candidate."""
+    p = zero_params(n, n)
+    p.w_cand[...] = np.eye(n)
+    return p
 
 
 class TestStepFunctions:
+    """The engine's time loop, one step at a time."""
+
     def test_zero_params_halve_state(self):
-        # all-zero parameters: u = 1/2, cand = 0, so one step halves h_prev
-        p = zero_params(2, 3)
-        h = np.array([2.0, -4.0, 6.0])
-        np.testing.assert_array_equal(gru_step(p, np.ones(2), h), 0.5 * h)
+        # u = 1/2 throughout and a zero input makes the candidate zero, so the
+        # second step halves the first step's state
+        p = input_driven_params(3)
+        xs = np.array([[[0.5, -1.0, 2.0], [0.0, 0.0, 0.0]]])
+        states, _ = gru_forward(p, xs, [2])
+        assert np.all(states[0, 0] != 0.0)
+        np.testing.assert_array_equal(states[0, 1], 0.5 * states[0, 0])
 
     def test_agru_midpoint_score(self):
-        p = zero_params(2, 3)
-        h = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(agru_step(p, np.zeros(2), h, 0.5), 0.5 * h)
+        # score 1 takes the candidate whole, then score 1/2 against a zero
+        # candidate halves the state
+        p = input_driven_params(3)
+        xs = np.array([[[0.5, -1.0, 2.0], [0.0, 0.0, 0.0]]])
+        evolved, _ = evolve_forward(p, xs, np.array([[1.0, 0.5]]), [2], AGRU)
+        np.testing.assert_array_equal(evolved[0, 0], np.tanh(xs[0, 0]))
+        np.testing.assert_array_equal(evolved[0, 1], 0.5 * evolved[0, 0])
 
     def test_matches_reference_transcription(self):
         rng = np.random.default_rng(31)
         p = rand_params(3, 4, seed=32)
-        for _ in range(50):
-            x = rng.standard_normal(3)
-            h = rng.standard_normal(4)
-            np.testing.assert_array_equal(gru_step(p, x, h), reference_gru_step(p, x, h))
+        xs = rng.standard_normal((5, 8, 3))
+        states, _ = gru_forward(p, xs, np.full(5, 8))
+        np.testing.assert_array_equal(states, reference_states(p, xs))
 
     def test_augru_matches_reference(self):
         rng = np.random.default_rng(33)
-        p = rand_params(3, 4, seed=34)
-        for _ in range(50):
-            x = rng.standard_normal(3)
-            h = rng.standard_normal(4)
-            a = rng.uniform(0.0, 1.0)
-            u = sigmoid(x @ p.w_update.T + h @ p.u_update.T + p.b_update)
-            r = sigmoid(x @ p.w_reset.T + h @ p.u_reset.T + p.b_reset)
-            c = np.tanh(x @ p.w_cand.T + r * (h @ p.u_cand.T) + p.b_cand)
-            expect = (1.0 - a * u) * h + a * u * c
-            np.testing.assert_array_equal(augru_step(p, x, h, a), expect)
+        p = rand_params(4, 4, seed=34)
+        xs = rng.standard_normal((5, 8, 4))
+        scores = rng.uniform(0.0, 1.0, size=(5, 8))
+        evolved, _ = evolve_forward(p, xs, scores, np.full(5, 8), AUGRU)
+        np.testing.assert_array_equal(evolved, reference_states(p, xs, scores, AUGRU))
 
     def test_batched_rows_match_single(self):
-        # a batch goes through GEMM rather than GEMV, so agreement is to
-        # rounding, not bit for bit
+        # rows alone go through different matrix-product shapes than the
+        # batch, so agreement is to rounding, not bit for bit
         rng = np.random.default_rng(35)
         p = rand_params(3, 4, seed=36)
-        xs = rng.standard_normal((6, 3))
-        hs = rng.standard_normal((6, 4))
-        batched = gru_step(p, xs, hs)
+        xs = rng.standard_normal((6, 5, 3))
+        lens = np.array([5, 1, 3, 5, 2, 4])
+        batched, _ = gru_forward(p, xs, lens)
         for k in range(6):
-            np.testing.assert_allclose(batched[k], gru_step(p, xs[k], hs[k]), atol=1e-12)
+            alone, _ = gru_forward(p, xs[k:k + 1], lens[k:k + 1])
+            np.testing.assert_allclose(batched[k], alone[0], atol=1e-12)
 
     def test_state_width_guard(self):
         p = rand_params(3, 4, seed=37)
         with pytest.raises(ShapeError):
-            gru_step(p, np.ones(3), np.ones(5))
+            gru_forward(p, np.ones((1, 2, 2)), [2])
         with pytest.raises(ShapeError):
-            gru_step(p, np.ones(2), np.ones(4))
+            evolve_forward(p, np.ones((1, 2, 4)), np.ones((1, 2)), [2], AUGRU)
+        with pytest.raises(ShapeError):
+            evolve_forward(p, np.ones((1, 0, 3)), np.ones((1, 0)), [0], AUGRU)
 
     def test_score_domain_guard(self):
         p = rand_params(2, 2, seed=38)
         for bad in (-0.01, 1.01):
-            with pytest.raises(DomainError):
-                augru_step(p, np.ones(2), np.ones(2), bad)
-            with pytest.raises(DomainError):
-                agru_step(p, np.ones(2), np.ones(2), bad)
+            scores = np.array([[0.5, bad]])
+            for variant in EVOLUTION_VARIANTS:
+                with pytest.raises(DomainError):
+                    evolve_forward(p, np.ones((1, 2, 2)), scores, [2], variant)
 
 
 class TestCellIdentities:
-    """Exact algebraic reductions between the cells, checked bitwise."""
+    """Exact algebraic reductions between the cells, checked bitwise on the
+    engine over ragged batches."""
+
+    @staticmethod
+    def draws(seed, n=1000):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            width = int(rng.integers(1, 7))
+            batch, steps = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+            p = GruParams.init(width, width, rng)
+            states = rng.standard_normal((batch, steps, width))
+            yield rng, p, states, rng.integers(0, steps + 1, size=batch)
 
     def test_unit_score_reduces_to_plain_step(self):
-        rng = np.random.default_rng(40)
-        p = rand_params(4, 4, seed=41)
-        for _ in range(1000):
-            x = rng.standard_normal(4)
-            h = rng.standard_normal(4)
-            np.testing.assert_array_equal(augru_step(p, x, h, 1.0), gru_step(p, x, h))
+        for _, p, states, lens in self.draws(40):
+            plain, _ = gru_forward(p, states, lens)
+            evolved, _ = evolve_forward(p, states, np.ones(states.shape[:2]), lens, AUGRU)
+            np.testing.assert_array_equal(evolved, plain)
 
     def test_zero_score_is_identity(self):
-        rng = np.random.default_rng(42)
-        p = rand_params(4, 4, seed=43)
-        for _ in range(1000):
-            x = rng.standard_normal(4)
-            h = rng.standard_normal(4)
-            np.testing.assert_array_equal(augru_step(p, x, h, 0.0), h)
-            np.testing.assert_array_equal(agru_step(p, x, h, 0.0), h)
+        for rng, p, states, _ in self.draws(42):
+            batch, steps, width = states.shape
+            scores = rng.uniform(0.0, 1.0, size=(batch, steps))
+            t = int(rng.integers(0, steps))
+            scores[:, t] = 0.0
+            for variant in (AGRU, AUGRU):
+                evolved, _ = evolve_forward(p, states, scores, np.full(batch, steps), variant)
+                prev = evolved[:, t - 1] if t else np.zeros((batch, width))
+                np.testing.assert_array_equal(evolved[:, t], prev)
 
     def test_unit_scores_make_input_scaling_plain(self):
         # score 1 leaves the scaled inputs bit-identical, so the whole
         # input-scaling evolution trace must equal a plain recurrence
-        rng = np.random.default_rng(44)
-        p = rand_params(4, 4, seed=45)
-        states = rng.standard_normal((3, 7, 4))
-        lens = np.array([7, 4, 1])
-        ones = np.ones((3, 7))
-        evolved, final, _ = evolve_forward(p, states, ones, lens, AIGRU)
-        plain, _ = gru_forward(p, states, lens)
-        np.testing.assert_array_equal(evolved, plain)
-        np.testing.assert_array_equal(final[0], plain[0, 6])
+        for _, p, states, lens in self.draws(44):
+            evolved, _ = evolve_forward(p, states, np.ones(states.shape[:2]), lens, AIGRU)
+            plain, _ = gru_forward(p, states, lens)
+            np.testing.assert_array_equal(evolved, plain)
 
     def test_input_scaling_values(self):
+        # the input-scaling cell is the plain recurrence over score-scaled states
         rng = np.random.default_rng(46)
-        states = rng.standard_normal((5, 3))
-        scores = rng.uniform(0, 1, size=5)
-        np.testing.assert_array_equal(aigru_inputs(states, scores), states * scores[:, None])
+        p = rand_params(3, 3, seed=47)
+        states = rng.standard_normal((2, 5, 3))
+        scores = rng.uniform(0, 1, size=(2, 5))
+        lens = [5, 3]
+        evolved, _ = evolve_forward(p, states, scores, lens, AIGRU)
+        plain, _ = gru_forward(p, states * scores[..., None], lens)
+        np.testing.assert_array_equal(evolved, plain)
         with pytest.raises(ShapeError):
-            aigru_inputs(states, scores[:4])
+            evolve_forward(p, states, scores[:, :4], lens, AIGRU)
 
 
 class TestSequenceEngine:
@@ -173,7 +212,7 @@ class TestSequenceEngine:
             h = np.zeros(4)
             for t in range(6):
                 if t < lens[k]:
-                    h = gru_step(p, xs[k, t], h)
+                    h = reference_gru_step(p, xs[k, t], h)
                 np.testing.assert_allclose(states[k, t], h, atol=1e-12)
 
     def test_frozen_rows_repeat_last_state(self):
@@ -261,6 +300,10 @@ class TestRecurrentGradients:
 
 
 class TestEvolutionGradients:
+    """The loss reads every evolved state plus, separately, the final one;
+    rows shorter than the batch send that final-state gradient back across
+    their frozen steps."""
+
     def setup_method(self):
         rng = np.random.default_rng(62)
         self.p = rand_params(4, 4, seed=63)
@@ -270,41 +313,40 @@ class TestEvolutionGradients:
         self.lens = np.array([5, 3, 1])
         self.proj = rng.standard_normal((3, 5, 4))
         self.proj_final = rng.standard_normal((3, 4))
+        self.d_evolved = self.proj.copy()
+        self.d_evolved[:, -1] += self.proj_final
 
-    def loss(self, variant, states=None, scores=None):
-        evolved, final, _ = evolve_forward(
-            self.p,
+    def loss(self, variant, states=None, scores=None, params=None):
+        evolved, _ = evolve_forward(
+            params or self.p,
             self.states if states is None else states,
             self.scores if scores is None else scores,
             self.lens, variant,
         )
-        return float((evolved * self.proj).sum() + (final * self.proj_final).sum())
+        return float((evolved * self.proj).sum() + (evolved[:, -1] * self.proj_final).sum())
+
+    def backward(self, variant):
+        _, cache = evolve_forward(self.p, self.states, self.scores, self.lens, variant)
+        return evolve_backward(self.p, cache, self.d_evolved)
 
     @pytest.mark.parametrize("variant", EVOLUTION_VARIANTS)
     def test_state_gradient(self, variant):
-        _, _, cache = evolve_forward(self.p, self.states, self.scores, self.lens, variant)
-        _, d_states, _ = evolve_backward(self.p, cache, self.proj, self.proj_final)
+        _, d_states, _ = self.backward(variant)
         flat_check(lambda a: self.loss(variant, states=a), self.states, d_states)
 
     @pytest.mark.parametrize("variant", EVOLUTION_VARIANTS)
     def test_score_gradient(self, variant):
-        _, _, cache = evolve_forward(self.p, self.states, self.scores, self.lens, variant)
-        _, _, d_scores = evolve_backward(self.p, cache, self.proj, self.proj_final)
+        _, _, d_scores = self.backward(variant)
         flat_check(lambda a: self.loss(variant, scores=a), self.scores, d_scores)
 
     @pytest.mark.parametrize("variant", EVOLUTION_VARIANTS)
     def test_parameter_gradients(self, variant):
-        _, _, cache = evolve_forward(self.p, self.states, self.scores, self.lens, variant)
-        grads, _, _ = evolve_backward(self.p, cache, self.proj, self.proj_final)
+        grads, _, _ = self.backward(variant)
         for name, arr in self.p.arrays().items():
             def loss(a, name=name):
                 fields = {k: v.copy() for k, v in self.p.arrays().items()}
                 fields[name] = a
-                p2 = GruParams(**fields)
-                evolved, final, _ = evolve_forward(
-                    p2, self.states, self.scores, self.lens, variant)
-                return float((evolved * self.proj).sum()
-                             + (final * self.proj_final).sum())
+                return self.loss(variant, params=GruParams(**fields))
 
             if name.endswith("update") and variant == AGRU:
                 # the gate-replacing cell never evaluates its update gate
@@ -322,7 +364,7 @@ class TestEvolutionGradients:
 
     def test_cache_guard(self):
         with pytest.raises(UsageError):
-            evolve_backward(self.p, {"kind": "gru"}, self.proj, None)
+            evolve_backward(self.p, {"kind": "gru"}, self.proj)
 
 
 class TestAttention:
@@ -392,25 +434,24 @@ class TestAttention:
 class TestSingleSequenceSurfaces:
     @pytest.mark.parametrize("variant", EVOLUTION_VARIANTS)
     def test_evolve_matches_batched_engine(self, variant):
-        # one row at a time through the step functions, against the batch
+        # one row at a time through the reference cell, against the batch
         rng = np.random.default_rng(83)
         p = rand_params(3, 3, seed=84)
         hidden = rng.standard_normal((2, 6, 3))
         scores = rng.uniform(0, 1, size=(2, 6))
         lens = [4, 6]
-        batched, final, _ = evolve_forward(p, hidden, scores, lens, variant)
+        batched, _ = evolve_forward(p, hidden, scores, lens, variant)
         for k, n in enumerate(lens):
             h = np.zeros(3)
             for t in range(n):
                 x, a = hidden[k, t], scores[k, t]
                 if variant == AIGRU:
-                    h = gru_step(p, a * x, h)
+                    h = reference_gru_step(p, a * x, h)
                 else:
-                    h = (agru_step if variant == AGRU else augru_step)(p, x, h, a)
+                    h = reference_gru_step(p, x, h, variant, a)
                 np.testing.assert_allclose(batched[k, t], h, atol=1e-12)
             frozen = np.broadcast_to(batched[k, n - 1], (6 - n, 3))
             np.testing.assert_array_equal(batched[k, n:], frozen)
-            np.testing.assert_array_equal(final[k], batched[k, n - 1])
 
 
 class TestParamContainers:
