@@ -166,13 +166,21 @@ def mlp_backward(mlp: MlpParams, cache, d_logits):
     return grads, d
 
 
+def _nonnegative_float(value) -> float:
+    """A checkpoint header number that must be finite and nonnegative."""
+    number = float(value)
+    if not (np.isfinite(number) and number >= 0):
+        raise ValueError(f"{number} is not a finite, nonnegative number")
+    return number
+
+
 class DienModel:
     """Parameter bundle for one variant: embeddings, cells, attention, head."""
 
     def __init__(self, variant: ModelVariant, alpha: float, item_table, cat_table,
                  extractor, evolver, attention, mlp, embed_dim: int, hidden_size: int,
                  mlp_widths: list):
-        if alpha < 0:
+        if not alpha >= 0:
             raise ConfigError(f"alpha must be nonnegative, got {alpha}")
         self.variant = variant
         self.alpha = float(alpha)
@@ -296,7 +304,7 @@ class DienModel:
             field("variant", ModelVariant), field("item_vocab", int), field("cat_vocab", int),
             field("embed_dim", int), field("hidden_size", int),
             field("mlp_widths", lambda v: [int(w) for w in v])[1:-1],
-            field("alpha", float), seed=0,
+            field("alpha", _nonnegative_float), seed=0,
         )
         for name, arr in model.all_arrays().items():
             if name not in blobs:
@@ -525,6 +533,6 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
 
 def total_loss(l_target: float, l_aux: float, alpha: float) -> float:
     """Combined objective: click loss plus alpha times the next-behavior loss."""
-    if alpha < 0:
+    if not alpha >= 0:
         raise ConfigError(f"alpha must be nonnegative, got {alpha}")
     return float(l_target) + float(alpha) * float(l_aux)

@@ -15,9 +15,15 @@ gate-scaling cell uses a*u.  One batched time loop runs every recurrence;
 the cells differ only in that blend gate, so a unit score gives the plain
 cell and a zero score keeps the state, bit for bit.
 
-Backward passes are hand-derived and consume the gate values cached during
-the forward pass; the finite-difference harness in `training` is the safety
-net for every derivative here.
+The loop is packed, like `sequence_length` in a dynamic RNN: rows are
+visited longest first, and step t computes gates for the rows still inside
+their history only.  A row past its valid length repeats its last state,
+and a row of length 0 stays at the zero state.  A batch of full-length rows
+is visited in its own order, every row at every step.
+
+Backward passes are hand-derived and consume the per-step gate values
+cached during the forward pass; the finite-difference harness in
+`training` is the safety net for every derivative here.
 """
 
 from __future__ import annotations
@@ -148,43 +154,35 @@ def _recur(params: GruParams, inputs, valid_lens, scores=None, cell=None):
     """The one time loop behind every recurrence, from the zero state.
 
     `cell` None runs the plain cell; AGRU and AUGRU read the (B, T) scores.
-    Rows are frozen once their valid length is exhausted: the state simply
-    carries forward.
+    Rows are visited longest first (a stable sort of the valid lengths), so
+    step t runs the gates on the live prefix `order[:n_t]` only.  A row past
+    its valid length is not stepped: its state carries forward.
     """
     batch, steps, _ = inputs.shape
-    n_h = params.n_hidden
-    mask = step_masks(valid_lens, batch, steps)
-    h = np.zeros((batch, n_h))
-    states = np.empty((batch, steps, n_h))
-    upd = np.empty((batch, steps, n_h))
-    rst = np.empty((batch, steps, n_h))
-    cnd = np.empty((batch, steps, n_h))
-    chid = np.empty((batch, steps, n_h))
-    for t in range(steps):
-        u, r, c, hl = _gates(params, inputs[:, t], h)
-        upd[:, t], rst[:, t], cnd[:, t], chid[:, t] = u, r, c, hl
-        a = None if cell is None else scores[:, t][:, None]
-        gate = _blend_gate(cell, u, a)
-        m = mask[:, t][:, None]
-        h = m * ((1.0 - gate) * h + gate * c) + (1.0 - m) * h
-        states[:, t] = h
-    cache = {
-        "cell": cell, "inputs": inputs, "outputs": states, "update": upd, "reset": rst,
-        "cand": cnd, "cand_hid": chid, "mask": mask, "scores": scores,
-    }
+    lens = np.asarray(valid_lens, dtype=np.int64).reshape(batch)
+    order = np.argsort(-lens, kind="stable")
+    live = (lens[:, None] > np.arange(steps)).sum(axis=0)  # n_t
+    h = np.zeros((batch, params.n_hidden))  # in visiting order
+    states = np.empty((batch, steps, params.n_hidden))
+    gates = []  # per step, (n_t, H) update, reset, cand and cand_hid
+    for t, n in enumerate(live):
+        u, r, c, hl = _gates(params, inputs[order[:n], t], h[:n])
+        gate = _blend_gate(cell, u, None if cell is None else scores[order[:n], t][:, None])
+        h[:n] = (1.0 - gate) * h[:n] + gate * c
+        states[order, t] = h
+        gates.append((u, r, c, hl))
+    cache = {"cell": cell, "inputs": inputs, "outputs": states, "scores": scores,
+             "order": order, "live": live, "gates": gates}
     return states, cache
 
 
-def _gate_backward(params, grads, cache, t, h_prev, d_update, d_cand, d_h_prev):
-    """Shared gate chain rule for one step; returns (d_x, d_h_prev).
+def _gate_backward(params, grads, x, gates, h_prev, d_update, d_cand, d_h_prev):
+    """Shared gate chain rule for one step's live rows; returns (d_x, d_h_prev).
 
     d_update/d_cand are gradients on u and c (d_update None when the cell
     never used u); d_h_prev carries the direct blend contribution so far.
     """
-    x = cache["inputs"][:, t]
-    r = cache["reset"][:, t]
-    c = cache["cand"][:, t]
-    hl = cache["cand_hid"][:, t]
+    u, r, c, hl = gates
 
     # cand = tanh(x Wc' + r * hl + bc), hl = h_prev Uc'
     d_ac = d_cand * (1.0 - c * c)
@@ -197,7 +195,6 @@ def _gate_backward(params, grads, cache, t, h_prev, d_update, d_cand, d_h_prev):
     d_h_prev = d_h_prev + d_hl @ params.u_cand
 
     if d_update is not None:
-        u = cache["update"][:, t]
         d_au = d_update * u * (1.0 - u)
         grads["w_update"] += d_au.T @ x
         grads["u_update"] += d_au.T @ h_prev
@@ -215,43 +212,42 @@ def _gate_backward(params, grads, cache, t, h_prev, d_update, d_cand, d_h_prev):
 
 
 def _recur_backward(params: GruParams, cache, d_states):
-    """Backward through _recur.
+    """Backward through _recur, in the same visiting order.
 
     Returns (parameter grads, d_inputs, d_scores); d_scores is None for the
-    plain cell.  The score couples through the blend gate: directly for
-    AGRU, through a*u for AUGRU.
+    plain cell, and both are exactly zero past each row's valid length.
+    The score couples through the blend gate: directly for AGRU, through
+    a*u for AUGRU.  A row that is not live at step t passes its gradient
+    straight back to the state it carried forward.
     """
-    cell, scores = cache["cell"], cache["scores"]
-    inputs = cache["inputs"]
+    cell, scores, order = cache["cell"], cache["scores"], cache["order"]
+    inputs, states = cache["inputs"], cache["outputs"]
     batch, steps, _ = inputs.shape
     grads = params.zero_grads()
     d_inputs = np.zeros_like(inputs)
     d_scores = None if cell is None else np.zeros_like(scores)
-    carry = np.zeros((batch, params.n_hidden))
-    h0 = np.zeros((batch, params.n_hidden))
+    dh = np.zeros((batch, params.n_hidden))  # in visiting order
     for t in range(steps - 1, -1, -1):
-        dh = d_states[:, t] + carry
-        m = cache["mask"][:, t][:, None]
-        d_raw = dh * m
-        d_h_prev = dh * (1.0 - m)  # frozen rows pass the gradient straight back
-        u = cache["update"][:, t]
-        c = cache["cand"][:, t]
-        h_prev = cache["outputs"][:, t - 1] if t else h0  # the state step t started from
-        a = None if cell is None else scores[:, t][:, None]
+        n = cache["live"][t]
+        rows = order[:n]
+        dh = d_states[order, t] + dh
+        u, _, c, _ = cache["gates"][t]
+        h_prev = states[rows, t - 1] if t else np.zeros((n, params.n_hidden))
+        a = None if cell is None else scores[rows, t][:, None]
         gate = _blend_gate(cell, u, a)
+        d_raw = dh[:n]
         d_gate = d_raw * (c - h_prev)
         if cell is None:
             d_update = d_gate
         elif cell == AGRU:
-            d_scores[:, t] = d_gate.sum(axis=1)
+            d_scores[rows, t] = d_gate.sum(axis=1)
             d_update = None
         else:
-            d_scores[:, t] = (d_gate * u).sum(axis=1)
+            d_scores[rows, t] = (d_gate * u).sum(axis=1)
             d_update = d_gate * a
-        d_cand = d_raw * gate
-        d_h_prev = d_h_prev + d_raw * (1.0 - gate)
-        d_x, carry = _gate_backward(params, grads, cache, t, h_prev, d_update, d_cand, d_h_prev)
-        d_inputs[:, t] = d_x
+        d_inputs[rows, t], dh[:n] = _gate_backward(
+            params, grads, inputs[rows, t], cache["gates"][t], h_prev, d_update,
+            d_raw * gate, d_raw * (1.0 - gate))
     return grads, d_inputs, d_scores
 
 
@@ -295,10 +291,10 @@ def evolve_forward(params: GruParams, states, scores, valid_lens, variant: str):
 
     `states` is (B, T, n_hidden), `scores` the matching (B, T) relevance
     weights.  The input-scaling cell scales the states and runs the plain
-    loop; the other two gate the blend with the scores.  Masked positions
-    carry the evolved state forward unchanged, so `evolved[:, -1]` is each
-    row's final state (the zero state for a row of length 0).  Returns
-    (evolved states, cache).
+    loop; the other two gate the blend with the scores.  Positions past a
+    row's valid length carry the evolved state forward unchanged, so
+    `evolved[:, -1]` is each row's final state (the zero state for a row of
+    length 0).  Returns (evolved states, cache).
     """
     if variant not in EVOLUTION_VARIANTS:
         raise ConfigError(f"unknown evolution variant {variant!r}")

@@ -45,7 +45,7 @@ class TrainConfig:
     max_history: int = 50
 
     def validate(self) -> None:
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
         for name in ("epochs",):
             if getattr(self, name) < 0:

@@ -248,6 +248,7 @@ CORRUPT_CHECKPOINTS = {
     "header without arrays": (
         _header_edit(lambda h: {k: v for k, v in h.items() if k != "arrays"}), "'arrays'"),
     "text embed_dim": (_header_edit(lambda h: {**h, "embed_dim": "x"}), "'embed_dim'"),
+    "NaN alpha": (_header_edit(lambda h: {**h, "alpha": float("nan")}), "'alpha'"),
     "list header": (lambda raw: b"[1,2]\n" + raw.split(b"\n", 1)[1], "not a version-1"),
     "non-UTF-8 header": (lambda raw: raw.replace(b'"variant":"dien"', b'"variant":"di\xe9n"', 1),
                          "bad checkpoint header"),

@@ -203,12 +203,14 @@ class TestSequenceEngine:
         )
 
     def test_batched_equals_per_row(self):
+        # unsorted lengths with a tie and a zero-length row, so a packed
+        # loop that visits rows longest first must put them back in order
         rng = np.random.default_rng(50)
         p = rand_params(3, 4, seed=51)
-        xs = rng.standard_normal((4, 6, 3))
-        lens = np.array([6, 3, 1, 0])
+        xs = rng.standard_normal((5, 6, 3))
+        lens = np.array([1, 6, 0, 3, 3])
         states, _ = gru_forward(p, xs, lens)
-        for k in range(4):
+        for k in range(5):
             h = np.zeros(4)
             for t in range(6):
                 if t < lens[k]:
@@ -269,7 +271,7 @@ def flat_check(build_loss, arr, analytic, tol=1e-6):
 
 class TestRecurrentGradients:
     """Every gradient surface of the sequence engine against central
-    differences; ragged lengths keep the frozen-row logic honest."""
+    differences; ragged lengths keep the carried-forward rows honest."""
 
     def setup_method(self):
         rng = np.random.default_rng(60)
@@ -302,17 +304,18 @@ class TestRecurrentGradients:
 class TestEvolutionGradients:
     """The loss reads every evolved state plus, separately, the final one;
     rows shorter than the batch send that final-state gradient back across
-    their frozen steps."""
+    the steps past their valid length.  The lengths are unsorted, with a tie
+    and a zero-length row, so the packed loop's row order is exercised."""
 
     def setup_method(self):
         rng = np.random.default_rng(62)
         self.p = rand_params(4, 4, seed=63)
-        self.states = rng.standard_normal((3, 5, 4))
+        self.states = rng.standard_normal((4, 5, 4))
         # keep a comfortable margin inside [0, 1] so FD bumps stay legal
-        self.scores = rng.uniform(0.1, 0.9, size=(3, 5))
-        self.lens = np.array([5, 3, 1])
-        self.proj = rng.standard_normal((3, 5, 4))
-        self.proj_final = rng.standard_normal((3, 4))
+        self.scores = rng.uniform(0.1, 0.9, size=(4, 5))
+        self.lens = np.array([3, 5, 0, 3])
+        self.proj = rng.standard_normal((4, 5, 4))
+        self.proj_final = rng.standard_normal((4, 4))
         self.d_evolved = self.proj.copy()
         self.d_evolved[:, -1] += self.proj_final
 
@@ -353,6 +356,13 @@ class TestEvolutionGradients:
                 np.testing.assert_array_equal(grads[name], np.zeros_like(arr))
             else:
                 flat_check(loss, arr, grads[name])
+
+    @pytest.mark.parametrize("variant", EVOLUTION_VARIANTS)
+    def test_padded_positions_get_no_gradient(self, variant):
+        _, d_states, d_scores = self.backward(variant)
+        padded = step_masks(self.lens, 4, 5) == 0.0
+        np.testing.assert_array_equal(d_states[padded], 0.0)
+        np.testing.assert_array_equal(d_scores[padded], 0.0)
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):

@@ -36,6 +36,7 @@ class TestTrainConfig:
     def test_rejections(self):
         bad = [
             dict(alpha=-1.0),
+            dict(alpha=float("nan")),  # fails every comparison, `alpha < 0` too
             dict(epochs=-1),
             dict(batch_size=0),
             dict(learning_rate=0.0),
