@@ -11,9 +11,7 @@ prints its report to standard output).  Exit codes: 0 success, 1 invalid
 configuration or input, 2 runtime failure.
 
 The train, ablation and synth settings are the fields of TrainConfig and
-SynthConfig, with their defaults.  The eval --workers flag scores
-evaluation chunks on worker threads; chunks are split at fixed boundaries
-and merged in fixed order, so results are identical for any worker count.
+SynthConfig, with their defaults.
 """
 
 from __future__ import annotations
@@ -100,8 +98,7 @@ _SCHEMAS = {
     },
     "eval": {
         "corpus": _REQUIRED, "checkpoint": _REQUIRED, "seed": (_pint, 0),
-        "split_seed": (_pint, 0), "max_history": (_pint, 50), "workers": (_pint, 1),
-        "out": (_pstr, "out_eval"),
+        "split_seed": (_pint, 0), "max_history": (_pint, 50), "out": (_pstr, "out_eval"),
     },
     "ablation": {
         **_fields_of(TrainConfig), "corpus": _REQUIRED, "split_seed": (_pint, 0),
@@ -117,7 +114,7 @@ _SCHEMAS = {
     },
     "viz": {
         "corpus": _REQUIRED, "checkpoint": _REQUIRED, "steps": (_pint, 10),
-        "split_seed": (_pint, 0), "out": (_pstr, "out_viz"),
+        "out": (_pstr, "out_viz"),
     },
 }
 
@@ -216,8 +213,7 @@ def cmd_train(values: dict) -> int:
 def cmd_eval(values: dict) -> int:
     model = DienModel.load(values["checkpoint"])
     corpus = parse_corpus(values["corpus"], split_seed=values["split_seed"])
-    report = evaluate(model, corpus.test(), max_history=values["max_history"],
-                      workers=values["workers"])
+    report = evaluate(model, corpus.test(), max_history=values["max_history"])
     out = _out_dir(values)
     _write_echo(out, "eval", values)
     write_metrics(out / "metrics.csv", [(model.variant, values["seed"], report.auc)])
@@ -259,12 +255,12 @@ def cmd_gradcheck(values: dict) -> int:
 
 def cmd_viz(values: dict) -> int:
     model = DienModel.load(values["checkpoint"])
-    corpus = parse_corpus(values["corpus"], split_seed=values["split_seed"])
-    probes, labels, step_labels = build_viz_probes(corpus, steps=values["steps"])
+    # the probes read only the vocabularies and item categories, not the split
+    probes, labels = build_viz_probes(parse_corpus(values["corpus"]), steps=values["steps"])
     out = _out_dir(values)
     _write_echo(out, "viz", values)
     bundle = export_viz(model, probes, labels, out / "viz_trajectories.csv",
-                        out / "viz_attention.csv", step_labels)
+                        out / "viz_attention.csv")
     log.info("wrote %d trajectories over %d steps to %s", len(bundle.labels),
              values["steps"], out)
     return 0
@@ -289,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     help_hints = {
         "corpus": "corpus TSV path", "checkpoint": "model checkpoint path",
-        "out": "output directory", "workers": "worker threads for scoring evaluation chunks",
+        "out": "output directory",
         "variants": "comma-separated variant list",
         "mlp_hidden": "comma-separated hidden widths",
     }

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateError, DomainError, ParseError, VocabularyError
 
 PAD_TOKEN = "<pad>"
-DEFAULT_TEST_FRACTION = 0.1
+TEST_FRACTION = 0.1  # share of pair units held out for testing
 
 
 class Vocab:
@@ -59,12 +59,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self._tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocab) and self._tokens == other._tokens
 
     def tokens(self) -> list[str]:
         return list(self._tokens)
@@ -133,10 +127,9 @@ def _pair_units(instances: list[Instance]) -> list[list[int]]:
     return units
 
 
-def _split_indices(instances, split_seed: int, test_fraction: float):
+def _split_indices(instances, split_seed: int):
     units = _pair_units(instances)
-    n_test = int(round(len(units) * test_fraction))
-    n_test = min(max(n_test, 0), len(units))
+    n_test = int(round(len(units) * TEST_FRACTION))
     rng = np.random.default_rng(split_seed)
     order = rng.permutation(len(units))
     test_units = set(order[:n_test].tolist())
@@ -166,12 +159,12 @@ def _decoded(fh, path):
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def parse_corpus(path, split_seed: int = 0,
-                 test_fraction: float = DEFAULT_TEST_FRACTION) -> Corpus:
+def parse_corpus(path, split_seed: int = 0) -> Corpus:
     """Load a tab-separated corpus file, building vocabularies first-seen.
 
     Malformed lines fail with their line number; an empty file is an error.
-    The split is deterministic in split_seed.
+    The split holds out TEST_FRACTION of the pair units, deterministic in
+    split_seed.
     """
     item_vocab = Vocab()
     cat_vocab = Vocab()
@@ -196,6 +189,10 @@ def parse_corpus(path, split_seed: int = 0,
                 )
             if not items:
                 raise ParseError(f"line {lineno}: field 4: empty history")
+            for field_no, tokens in enumerate(([target_item_s], [target_cat_s], items, cats), 2):
+                if PAD_TOKEN in tokens:
+                    raise ParseError(f"{path}: line {lineno}: field {field_no}: "
+                                     f"{PAD_TOKEN} is the reserved padding token")
             target_item = item_vocab.add(target_item_s)
             target_cat = cat_vocab.add(target_cat_s)
             instances.append(Instance(
@@ -207,7 +204,7 @@ def parse_corpus(path, split_seed: int = 0,
             ))
     if not instances:
         raise ParseError(f"{path}: no instances found")
-    train_idx, test_idx = _split_indices(instances, split_seed, test_fraction)
+    train_idx, test_idx = _split_indices(instances, split_seed)
     return Corpus(
         item_vocab=item_vocab, cat_vocab=cat_vocab, instances=instances,
         train_idx=train_idx, test_idx=test_idx,
@@ -240,7 +237,6 @@ class SynthConfig:
     drift_prob: float = 0.3
     noise: float = 0.1
     seed: int = 0
-    test_fraction: float = DEFAULT_TEST_FRACTION
 
     def validate(self) -> None:
         if self.n_cats < 2:
@@ -254,7 +250,7 @@ class SynthConfig:
                 f"n_items={self.n_items} leaves no spare targets for "
                 f"{self.n_cats} categories; need at least {2 * self.n_cats}"
             )
-        for name in ("drift_prob", "noise", "test_fraction"):
+        for name in ("drift_prob", "noise"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be a probability, got {value}")
@@ -334,9 +330,7 @@ def synth_generate(config: SynthConfig) -> Corpus:
         instances.append(Instance(shared_items, shared_cats, pos_item, latent, 1))
         instances.append(Instance(shared_items, shared_cats, neg_item, neg_cat, 0))
 
-    train_idx, test_idx = _split_indices(
-        instances, int(rng.integers(2**31)), config.test_fraction
-    )
+    train_idx, test_idx = _split_indices(instances, int(rng.integers(2**31)))
     item_cats = np.zeros(config.n_items + 1, dtype=np.int64)
     for i in range(1, config.n_items + 1):
         item_cats[i] = _category_of(i, n_cats)

@@ -18,28 +18,17 @@ PAD_ID = 0
 class EmbeddingTable:
     """Dense id -> vector map with sparse gradient accumulation."""
 
-    def __init__(self, vocab_size: int, dim: int, weights=None, rng=None):
+    def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
         if vocab_size < 1 or dim < 1:
             raise ShapeError(
                 f"table needs positive vocab_size and dim, got {vocab_size}x{dim}"
             )
         self.vocab_size = int(vocab_size)
         self.dim = int(dim)
-        if weights is not None:
-            weights = np.array(weights, dtype=np.float64)
-            if weights.shape != (self.dim, self.vocab_size):
-                raise ShapeError(
-                    f"weights shape {weights.shape} does not match "
-                    f"(dim={self.dim}, vocab_size={self.vocab_size})"
-                )
-            self.weights = weights
-        else:
-            if rng is None:
-                raise ValueError("either weights or a seeded rng is required")
-            # Uniform in [-1/sqrt(dim), 1/sqrt(dim)]; padding column forced to 0.
-            bound = 1.0 / np.sqrt(self.dim)
-            self.weights = rng.uniform(-bound, bound, size=(self.dim, self.vocab_size))
-            self.weights[:, PAD_ID] = 0.0
+        # Uniform in [-1/sqrt(dim), 1/sqrt(dim)]; padding column forced to 0.
+        bound = 1.0 / np.sqrt(self.dim)
+        self.weights = rng.uniform(-bound, bound, size=(self.dim, self.vocab_size))
+        self.weights[:, PAD_ID] = 0.0
         self._grad = np.zeros_like(self.weights)
         self._touched = np.zeros(self.vocab_size, dtype=bool)
 

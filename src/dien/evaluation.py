@@ -11,7 +11,6 @@ as CSV, including a target-free probe driven by uniform relevance scores.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -75,32 +74,21 @@ class EvalReport:
                    per_seed=[float(v) for v in per_seed], std=float(arr.std()))
 
 
-def model_scores(model: DienModel, instances: list, workers: int = 1) -> np.ndarray:
-    """Click probabilities for a fixed instance list, in order.
-
-    Worker count never changes the result; chunks are scored against
-    read-only parameters and reassembled by position.
-    """
+def model_scores(model: DienModel, instances: list) -> np.ndarray:
+    """Click probabilities for a fixed instance list, in order, scored in
+    chunks of EVAL_CHUNK rows."""
     if not instances:
         raise UsageError("no instances to score")
-    chunks = [instances[i:i + EVAL_CHUNK] for i in range(0, len(instances), EVAL_CHUNK)]
-
-    def score(chunk):
-        return forward_batch(model, make_batch(chunk))["probs"]
-
-    if workers > 1 and len(chunks) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(score, chunks))
-    else:
-        parts = [score(c) for c in chunks]
-    return np.concatenate(parts)
+    return np.concatenate([
+        forward_batch(model, make_batch(instances[i:i + EVAL_CHUNK]))["probs"]
+        for i in range(0, len(instances), EVAL_CHUNK)
+    ])
 
 
-def evaluate(model: DienModel, instances: list, max_history: int = 50,
-             workers: int = 1) -> EvalReport:
+def evaluate(model: DienModel, instances: list, max_history: int = 50) -> EvalReport:
     """Score one model over instances and wrap the single-run report."""
     instances = [truncate_history(inst, max_history) for inst in instances]
-    scores = model_scores(model, instances, workers=workers)
+    scores = model_scores(model, instances)
     labels = np.asarray([inst.label for inst in instances])
     value = auc(scores, labels)
     return EvalReport.from_runs([value], int((labels == 1).sum()),
@@ -174,23 +162,23 @@ class VizBundle:
     labels: list
     trajectories: dict  # label -> (valid_len, 2) projected evolved states
     attention: dict  # label -> (valid_len,) relevance scores
-    step_labels: list  # category token per history step
-    basis: np.ndarray
 
     NONE_LABEL = "none"
 
 
-def build_viz_probes(corpus: Corpus, steps: int = 10, plant_cats=(1, 2),
-                     probe_cats=(2, 3)):
+PLANT_CATS = (1, 2)  # the history's dwelling category, then its final one
+PROBE_CATS = (2, 3)  # the related and the unrelated probe target's category
+
+
+def build_viz_probes(corpus: Corpus, steps: int = 10):
     """A planted history plus two probe targets for trajectory plots.
 
     The history dwells in one category, then switches for its final
     behavior; the first probe target continues that final category, the
-    second comes from an unrelated one.  Returns (instances, probe labels,
-    per-step category tokens).
+    second comes from an unrelated one.  Returns (instances, probe labels).
     """
-    lead_cat, last_cat = plant_cats
-    related_cat, unrelated_cat = probe_cats
+    lead_cat, last_cat = PLANT_CATS
+    related_cat, unrelated_cat = PROBE_CATS
     needed = {lead_cat, last_cat, related_cat, unrelated_cat}
     if len(corpus.cat_vocab) <= max(needed):
         raise ConfigError(
@@ -221,12 +209,11 @@ def build_viz_probes(corpus: Corpus, steps: int = 10, plant_cats=(1, 2),
         f"related:{corpus.item_vocab.token_of(related)}",
         f"unrelated:{corpus.item_vocab.token_of(unrelated)}",
     ]
-    step_labels = [corpus.cat_vocab.token_of(c) for c in hist_cats]
-    return probes, labels, step_labels
+    return probes, labels
 
 
 def export_viz(model: DienModel, probes: list, labels: list,
-               traj_path, attn_path, step_labels: list | None = None) -> VizBundle:
+               traj_path, attn_path) -> VizBundle:
     """Trajectories and attention rows for probe targets over one history.
 
     All probes must share the history; a target-free run with uniform
@@ -260,7 +247,7 @@ def export_viz(model: DienModel, probes: list, labels: list,
 
     all_labels = labels + [VizBundle.NONE_LABEL]
     union = np.vstack([states[l] for l in all_labels])
-    basis, projected = pca_project(union, out_dim=2)
+    _, projected = pca_project(union, out_dim=2)
     trajectories = {}
     for k, label in enumerate(all_labels):
         trajectories[label] = projected[k * valid:(k + 1) * valid]
@@ -276,9 +263,7 @@ def export_viz(model: DienModel, probes: list, labels: list,
             for t, s in enumerate(attention[label]):
                 fh.write(f"{label},{t},{float(s)!r}\n")
 
-    return VizBundle(labels=all_labels, trajectories=trajectories,
-                     attention=attention, step_labels=list(step_labels or []),
-                     basis=basis)
+    return VizBundle(labels=all_labels, trajectories=trajectories, attention=attention)
 
 
 def write_metrics(path, rows: list) -> None:

@@ -337,13 +337,12 @@ class Batch:
     labels: np.ndarray  # (B,) float64
 
 
-def make_batch(instances: list, pad_to: int | None = None) -> Batch:
+def make_batch(instances: list) -> Batch:
+    """Pad every history to the batch's longest one."""
     if not instances:
         raise UsageError("empty instance list")
     lens = [len(inst.history_items) for inst in instances]
-    width = pad_to if pad_to is not None else max(lens)
-    if width < max(lens):
-        raise ShapeError(f"pad_to={width} shorter than longest history {max(lens)}")
+    width = max(lens)
     n = len(instances)
     item_ids = np.full((n, width), PAD_ID, dtype=np.int64)
     cat_ids = np.full((n, width), PAD_ID, dtype=np.int64)
@@ -387,7 +386,6 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None, scores=None) -
     """
     if scores is not None and not model.variant.recurrent:
         raise UsageError("the sum-pooling variant has no attention scores to replace")
-    d = model.embed_dim
     items_e = model.item_table.lookup_many(batch.item_ids)
     cats_e = model.cat_table.lookup_many(batch.cat_ids)
     behaviors = np.concatenate([items_e, cats_e], axis=2)

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Corpus, truncate_history
-from .embedding import EmbeddingTable
+from .data import Corpus, Instance, truncate_history
 from .errors import ConfigError, DivergenceError, ShapeError, UsageError
 from .model import (
     DienModel,
@@ -53,8 +52,9 @@ class TrainConfig:
         for name in ("batch_size", "embed_dim", "max_history"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
         if any(w < 1 for w in self.mlp_hidden):
             raise ConfigError(f"mlp_hidden widths must be positive, got {self.mlp_hidden}")
 
@@ -187,6 +187,7 @@ def write_curves(path, curves: list) -> None:
 # ---------------------------------------------------------------------------
 
 GRAD_CHECK_PARAM_LIMIT = 6000
+TOY_LENGTHS = (5, 4, 2, 5, 1, 3)  # history lengths of the gradient-check batch
 
 
 @dataclass
@@ -212,14 +213,10 @@ class GradCheckReport:
         return out
 
 
-def _toy_instances(rng: np.random.Generator, n_items: int, n_cats: int, steps: int):
+def _toy_instances(rng: np.random.Generator, n_items: int, n_cats: int):
     """A handful of mixed-length instances exercising the padding paths."""
-    from .data import Instance
-
-    lens = [steps, steps - 1, 2, steps, 1, 3]
-    lens = [max(1, min(steps, l)) for l in lens]
     out = []
-    for k, ln in enumerate(lens):
+    for k, ln in enumerate(TOY_LENGTHS):
         items = tuple(int(rng.integers(1, n_items)) for _ in range(ln))
         cats = tuple(int(rng.integers(1, n_cats)) for _ in range(ln))
         out.append(Instance(items, cats, int(rng.integers(1, n_items)),
@@ -228,7 +225,7 @@ def _toy_instances(rng: np.random.Generator, n_items: int, n_cats: int, steps: i
 
 
 def grad_check(config: TrainConfig, tolerance: float = 1e-4,
-               epsilon: float = 1e-5, steps: int = 5) -> GradCheckReport:
+               epsilon: float = 1e-5) -> GradCheckReport:
     """Compare the analytic backward pass against central differences.
 
     Builds one seeded batch at the config's dimensions, runs the combined
@@ -237,6 +234,8 @@ def grad_check(config: TrainConfig, tolerance: float = 1e-4,
     quadratic in all the wrong places.
     """
     config.validate()
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"tolerance must be finite and positive, got {tolerance}")
     n_items, n_cats = 9, 5
     model = DienModel.build(
         config.variant, n_items, n_cats, config.embed_dim, 2 * config.embed_dim,
@@ -249,7 +248,7 @@ def grad_check(config: TrainConfig, tolerance: float = 1e-4,
             "shrink the dimensions"
         )
     rng = np.random.default_rng([config.seed, 2])
-    batch = make_batch(_toy_instances(rng, n_items, n_cats, steps))
+    batch = make_batch(_toy_instances(rng, n_items, n_cats))
     negatives = None
     if config.variant.wants_aux and config.alpha > 0 and batch.item_ids.shape[1] > 1:
         neg_items = draw_negative_items(rng, n_items, batch.item_ids[:, 1:])

@@ -1,22 +1,26 @@
 """Command-line behavior: config precedence, the settings echo, exit codes,
 and one smoke run per subcommand."""
 
+import contextlib
 import importlib.metadata
 import importlib.util
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dien
-from dien.cli import main
+from dien.cli import _SCHEMAS, main
 from dien.data import parse_corpus
 from dien.model import DienModel, ModelVariant
+from dien.training import TrainConfig
 
 SYNTH_FLAGS = ["--n-users", "80", "--n-items", "120", "--n-cats", "10",
                "--seq-len", "6", "--seed", "7"]
@@ -86,18 +90,20 @@ class TestConfigResolution:
         assert not (tmp_path / "out").exists()
 
     def test_removed_keys_rejected(self, tmp_path, capsys):
-        # the hidden width is derived from embed_dim, and repeated trainings
-        # run serially: neither is a setting
-        for section, key in (("train", "hidden_size"), ("ablation", "workers")):
+        # the hidden width is derived from embed_dim, training and scoring
+        # run serially, the corpus file holds no split, and the viz probes
+        # never read one: none of these is a setting
+        removed = (("train", "hidden_size"), ("ablation", "workers"),
+                   ("synth", "test_fraction"), ("viz", "split_seed"), ("eval", "workers"))
+        for section, key in removed:
             cfg = self.write_cfg(tmp_path, f"[{section}]\n{key} = 8\n")
-            rc = main([section, "--config", str(cfg), "--corpus", "unused.tsv",
-                       "--out", str(tmp_path / "out")])
+            rc = main([section, "--config", str(cfg), "--out", str(tmp_path / "out")])
             assert rc == 1
             assert f"unknown key {key!r}" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as exc:
-            main(["train", "--corpus", "unused.tsv", "--hidden-size", "8",
-                  "--out", str(tmp_path / "out")])
-        assert exc.value.code == 1
+            with pytest.raises(SystemExit) as exc:
+                main([section, "--" + key.replace("_", "-"), "1",
+                      "--out", str(tmp_path / "out")])
+            assert exc.value.code == 1
         assert not (tmp_path / "out").exists()
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
@@ -161,24 +167,15 @@ class TestTrain:
 
 
 class TestEval:
-    def run_eval(self, corpus_dir, train_dir, out, workers="1"):
-        return main(["eval", "--checkpoint", str(train_dir / "model.ckpt"),
-                     "--corpus", str(corpus_dir / "corpus.tsv"),
-                     "--workers", workers, "--out", str(out)])
-
     def test_metrics_file(self, corpus_dir, train_dir, tmp_path):
-        assert self.run_eval(corpus_dir, train_dir, tmp_path) == 0
+        rc = main(["eval", "--checkpoint", str(train_dir / "model.ckpt"),
+                   "--corpus", str(corpus_dir / "corpus.tsv"), "--out", str(tmp_path)])
+        assert rc == 0
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
         assert lines[0] == "variant,seed,auc"
         name, seed, value = lines[1].split(",")
         assert name == "dien" and seed == "0"
         assert 0.0 <= float(value) <= 1.0
-
-    def test_worker_count_is_invisible(self, corpus_dir, train_dir, tmp_path):
-        a, b = tmp_path / "w1", tmp_path / "w4"
-        assert self.run_eval(corpus_dir, train_dir, a, "1") == 0
-        assert self.run_eval(corpus_dir, train_dir, b, "4") == 0
-        assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
 
 class TestGradcheck:
@@ -194,6 +191,17 @@ class TestGradcheck:
         rc = main(["gradcheck", "--tolerance", "1e-15", "--out", str(tmp_path)])
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, value, tmp_path, capsys):
+        # every comparison with NaN is false, so a NaN tolerance failed
+        # every group however small its error
+        rc = main(["gradcheck", "--tolerance", value, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "tolerance must be finite and positive" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestViz:
@@ -235,6 +243,98 @@ class TestAblation:
         assert summary[1].split(",")[0] == "base"
 
 
+# command -> the flags of its reference run, path settings aside
+REFERENCE_FLAGS = {
+    "synth": SYNTH_FLAGS,
+    "train": TINY_TRAIN_FLAGS,
+    "eval": [],
+    "viz": ["--steps", "6"],
+    "ablation": ["--variants", "base", "--n-repeats", "1", *TINY_TRAIN_FLAGS],
+    "gradcheck": [],
+}
+PATH_KEYS = {"corpus", "checkpoint", "out"}
+# (command, setting) -> a value that differs from the reference run's
+PERTURBED = {
+    ("synth", "n_users"): "81", ("synth", "n_items"): "130", ("synth", "n_cats"): "12",
+    ("synth", "seq_len"): "5", ("synth", "drift_prob"): "0.5", ("synth", "noise"): "0.3",
+    ("synth", "seed"): "8",
+    ("train", "variant"): "gru_augru", ("train", "alpha"): "0.5", ("train", "epochs"): "2",
+    ("train", "batch_size"): "16", ("train", "learning_rate"): "0.001",
+    ("train", "seed"): "1", ("train", "embed_dim"): "3", ("train", "mlp_hidden"): "6",
+    ("train", "max_history"): "3", ("train", "split_seed"): "1",
+    ("eval", "seed"): "1", ("eval", "split_seed"): "1", ("eval", "max_history"): "1",
+    ("viz", "steps"): "5",
+    ("ablation", "variants"): "gru_augru", ("ablation", "n_repeats"): "2",
+    ("ablation", "split_seed"): "1",
+    ("gradcheck", "tolerance"): "0.001", ("gradcheck", "epsilon"): "0.0001",
+}
+
+
+@pytest.fixture(scope="module")
+def setting_inputs(tmp_path_factory):
+    """(corpus dir, train dir) large enough that a rank metric over the
+    test split moves when the scores do."""
+    corpus_dir = tmp_path_factory.mktemp("setting_corpus")
+    assert main(["synth", *SYNTH_FLAGS, "--n-users", "400", "--out", str(corpus_dir)]) == 0
+    train_dir = tmp_path_factory.mktemp("setting_train")
+    assert main(["train", "--corpus", str(corpus_dir / "corpus.tsv"), *TINY_TRAIN_FLAGS,
+                 "--out", str(train_dir)]) == 0
+    return corpus_dir, train_dir
+
+
+@pytest.fixture(scope="module")
+def reference_outputs(setting_inputs, tmp_path_factory):
+    """command -> outputs of its reference run, computed on first use."""
+    cache = {}
+
+    def get(command):
+        if command not in cache:
+            out = tmp_path_factory.mktemp(f"reference_{command}")
+            cache[command] = _run_outputs(command, [], *setting_inputs, out)
+        return cache[command]
+    return get
+
+
+def _run_outputs(command, extra, corpus_dir, train_dir, out):
+    """Every output file's bytes, the settings echo excluded, plus stdout,
+    of one run of `command` with the reference flags and then `extra`."""
+    paths = []
+    if command not in ("synth", "gradcheck"):
+        paths += ["--corpus", str(corpus_dir / "corpus.tsv")]
+    if command in ("eval", "viz"):
+        paths += ["--checkpoint", str(train_dir / "model.ckpt")]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main([command, *paths, *REFERENCE_FLAGS[command], *extra, "--out", str(out)])
+    assert rc == 0
+    got = {p.name: p.read_bytes() for p in out.iterdir()
+           if not p.name.endswith("_config.ini")}
+    got["stdout"] = stdout.getvalue()
+    return got
+
+
+class TestEverySettingMatters:
+    """A setting whose value reaches no output is dead weight: each one
+    must change some output file or stdout when perturbed alone."""
+
+    def test_table_covers_every_setting(self):
+        # gradcheck and ablation share TrainConfig's fields with train,
+        # whose perturbations cover them
+        shared = {f.name for f in fields(TrainConfig)}
+        want = {(command, key) for command, schema in _SCHEMAS.items() for key in schema
+                if key not in PATH_KEYS
+                and not (command in ("ablation", "gradcheck") and key in shared)}
+        assert set(PERTURBED) == want
+
+    @pytest.mark.parametrize("command, key", sorted(PERTURBED),
+                             ids=[f"{c}.{k}" for c, k in sorted(PERTURBED)])
+    def test_setting_changes_an_output(self, command, key, reference_outputs,
+                                       setting_inputs, tmp_path):
+        flag = ["--" + key.replace("_", "-"), PERTURBED[command, key]]
+        got = _run_outputs(command, flag, *setting_inputs, tmp_path)
+        assert got != reference_outputs(command), f"{command} {key} changed no output"
+
+
 def _header_edit(edit):
     """A corruption that rewrites the checkpoint's JSON header line."""
     def corrupt(raw):
@@ -258,18 +358,36 @@ CORRUPT_CHECKPOINTS = {
 }
 
 
-def _latin1_corpus(raw):
-    lines = raw.splitlines(keepends=True)
-    mid = len(lines) // 2
-    lines[mid] = lines[mid].replace(b"\t", b"\xe9\t", 1)
-    return b"".join(lines)
+def _middle_line_edit(edit):
+    """A corruption that rewrites the middle line of a corpus."""
+    def corrupt(raw):
+        lines = raw.splitlines(keepends=True)
+        lines[len(lines) // 2] = edit(lines[len(lines) // 2])
+        return b"".join(lines)
+    return corrupt
+
+
+def _pad_first_behavior(line):
+    parts = line.split(b"\t")
+    parts[3] = b",".join([b"<pad>", *parts[3].split(b",")[1:]])
+    return b"\t".join(parts)
+
+
+# name -> (corruption of the corpus bytes, text the error line must hold)
+CORRUPT_CORPORA = {
+    "non-UTF-8 corpus": (_middle_line_edit(lambda l: l.replace(b"\t", b"\xe9\t", 1)),
+                         "not UTF-8"),
+    # the padding token would alias id 0, the zero padding vector
+    "padding token in corpus": (_middle_line_edit(_pad_first_behavior),
+                                "line 81: field 4: <pad>"),
+}
 
 
 class TestCorruptInputs:
     """A corrupt checkpoint or corpus fails with exit 1 and one error line
     naming the file, never with a traceback."""
 
-    @pytest.mark.parametrize("case", [*CORRUPT_CHECKPOINTS, "non-UTF-8 corpus"])
+    @pytest.mark.parametrize("case", [*CORRUPT_CHECKPOINTS, *CORRUPT_CORPORA])
     def test_exit_1_with_one_line(self, case, corpus_dir, train_dir, tmp_path, capsys):
         corpus = corpus_dir / "corpus.tsv"
         if case in CORRUPT_CHECKPOINTS:
@@ -278,8 +396,9 @@ class TestCorruptInputs:
             bad.write_bytes(corrupt((train_dir / "model.ckpt").read_bytes()))
             argv = ["eval", "--checkpoint", str(bad), "--corpus", str(corpus)]
         else:
-            bad, expect = tmp_path / "corpus.tsv", "not UTF-8"
-            bad.write_bytes(_latin1_corpus(corpus.read_bytes()))
+            corrupt, expect = CORRUPT_CORPORA[case]
+            bad = tmp_path / "corpus.tsv"
+            bad.write_bytes(corrupt(corpus.read_bytes()))
             argv = ["train", "--corpus", str(bad), *TINY_TRAIN_FLAGS]
         rc = main([*argv, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dien.data import (
-    Corpus,
+    PAD_TOKEN,
+    TEST_FRACTION,
     Instance,
     SynthConfig,
     Vocab,
@@ -83,6 +84,18 @@ class TestParseCorpus:
         with pytest.raises(ParseError, match="line 1"):
             parse_corpus(p)
 
+    @pytest.mark.parametrize("field_no, line", [
+        (2, "1\t<pad>\tC1\tI2\tC1"),
+        (3, "1\tI1\t<pad>\tI2\tC1"),
+        (4, "1\tI1\tC1\tI2,<pad>\tC1,C1"),
+        (5, "1\tI1\tC1\tI2,I3\tC1,<pad>"),
+    ])
+    def test_padding_token_rejected(self, tmp_path, field_no, line):
+        # id 0 is the zero padding vector: a corpus token must never map to it
+        p = write_corpus(tmp_path, f"1\tI1\tC1\tI2\tC1\n{line}\n")
+        with pytest.raises(ParseError, match=f"line 2: field {field_no}: {PAD_TOKEN}"):
+            parse_corpus(p)
+
     def test_bad_label_rejected(self, tmp_path):
         p = write_corpus(tmp_path, "7\tI1\tC1\tI2\tC1\n")
         with pytest.raises(ParseError, match="label"):
@@ -123,7 +136,7 @@ class TestParseCorpus:
                                             seq_len=4, seed=2))
         p = tmp_path / "c.tsv"
         save_corpus(corpus, p)
-        got = parse_corpus(p, split_seed=9, test_fraction=0.3)
+        got = parse_corpus(p, split_seed=9)
         test = set(got.test_idx)
         for k in range(0, len(got.instances), 2):
             assert ((k in test) == (k + 1 in test)), "pair split across train/test"
@@ -132,10 +145,10 @@ class TestParseCorpus:
         # distinct histories so each line is its own split unit
         p = write_corpus(tmp_path, "".join(
             f"1\tT{k}\tC1\tI{k}\tC1\n" for k in range(1, 21)))
-        got = parse_corpus(p, split_seed=0, test_fraction=0.25)
+        got = parse_corpus(p, split_seed=0)
         both = sorted(got.train_idx + got.test_idx)
         assert both == list(range(20))
-        assert len(got.test_idx) == 5
+        assert len(got.test_idx) == 2  # TEST_FRACTION of 20 units
 
 
 class TestSynthConfig:
@@ -245,10 +258,11 @@ class TestSynthGenerate:
         assert corpus.provenance["seed"] == "12"
 
     def test_split_respects_fraction(self):
-        corpus = synth_generate(SynthConfig(n_users=200, seed=13, test_fraction=0.2))
-        assert len(corpus.test_idx) == 80  # 40 of 200 pairs
-        assert len(corpus.train_idx) == 320
-        assert len(corpus.test()) == 80
+        assert TEST_FRACTION == 0.1
+        corpus = synth_generate(SynthConfig(n_users=200, seed=13))
+        assert len(corpus.test_idx) == 40  # 20 of 200 pairs
+        assert len(corpus.train_idx) == 360
+        assert len(corpus.test()) == 40
 
 
 class TestTruncate:

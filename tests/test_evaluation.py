@@ -1,6 +1,8 @@
 """Ranking metric against a brute-force oracle, the repeated-run protocol,
 principal-component projection, and the trajectory export."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -131,16 +133,16 @@ TINY_TRAIN = TrainConfig(variant=ModelVariant.GRU_AUGRU, epochs=1, batch_size=32
 
 
 class TestModelScores:
-    def test_chunking_invariant_under_workers(self):
+    def test_chunks_reassemble_in_row_order(self):
         corpus = synth_generate(SynthConfig(n_users=600, n_items=60, n_cats=6,
                                             seq_len=5, seed=31))
         model = DienModel.build(ModelVariant.BASE, len(corpus.item_vocab),
                                 len(corpus.cat_vocab), 4, 8, (8,), 0.0, seed=2)
         insts = corpus.instances  # 1200 rows: three fixed chunks
-        one = model_scores(model, insts, workers=1)
-        four = model_scores(model, insts, workers=4)
-        np.testing.assert_array_equal(one, four)
-        assert one.shape == (len(insts),)
+        scores = model_scores(model, insts)
+        assert scores.shape == (len(insts),)
+        alone = [model_scores(model, [inst])[0] for inst in insts]
+        np.testing.assert_allclose(scores, alone, rtol=0.0, atol=1e-12)
 
     def test_empty_rejected(self):
         model = DienModel.build(ModelVariant.BASE, 5, 3, 2, 4, (4,), 0.0, seed=0)
@@ -161,8 +163,8 @@ class TestRepeatEval:
             repeat_eval(corpus, TINY_TRAIN, n_repeats=0)
 
     def test_no_test_split_rejected(self):
-        corpus = synth_generate(SynthConfig(n_users=20, n_items=30, n_cats=3,
-                                            seed=32, test_fraction=0.0))
+        corpus = replace(synth_generate(SynthConfig(n_users=20, n_items=30, n_cats=3,
+                                                    seed=32)), test_idx=[])
         with pytest.raises(UsageError):
             repeat_eval(corpus, TINY_TRAIN, n_repeats=1)
 
@@ -256,7 +258,7 @@ VIZ_SYNTH = SynthConfig(n_users=50, n_items=120, n_cats=10, seq_len=6, seed=33)
 class TestVizProbes:
     def test_planted_history_layout(self):
         corpus = synth_generate(VIZ_SYNTH)
-        probes, labels, step_labels = build_viz_probes(corpus, steps=6)
+        probes, labels = build_viz_probes(corpus, steps=6)
         related, unrelated = probes
         assert related.history_items == unrelated.history_items
         assert related.history_cats == (1, 1, 1, 1, 1, 2)
@@ -264,7 +266,6 @@ class TestVizProbes:
         assert related.target_item not in related.history_items
         assert unrelated.target_item not in related.history_items
         assert labels[0].startswith("related:")
-        assert step_labels == ["c1", "c1", "c1", "c1", "c1", "c2"]
         for item, cat in zip(related.history_items, related.history_cats):
             assert corpus.item_cats[item] == cat
 
@@ -282,10 +283,10 @@ class TestExportViz:
 
     def test_bundle_and_files(self, tmp_path):
         corpus = synth_generate(VIZ_SYNTH)
-        probes, labels, steps = build_viz_probes(corpus, steps=6)
+        probes, labels = build_viz_probes(corpus, steps=6)
         model = self.make_model(corpus)
         traj, attn = tmp_path / "traj.csv", tmp_path / "attn.csv"
-        bundle = export_viz(model, probes, labels, traj, attn, step_labels=steps)
+        bundle = export_viz(model, probes, labels, traj, attn)
 
         assert bundle.labels == labels + [VizBundle.NONE_LABEL]
         uniform = bundle.attention[VizBundle.NONE_LABEL]
@@ -308,7 +309,7 @@ class TestExportViz:
 
     def test_deterministic_bytes(self, tmp_path):
         corpus = synth_generate(VIZ_SYNTH)
-        probes, labels, _ = build_viz_probes(corpus, steps=6)
+        probes, labels = build_viz_probes(corpus, steps=6)
         model = self.make_model(corpus)
         a1, a2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
         b1, b2 = tmp_path / "a1.csv", tmp_path / "a2.csv"
@@ -319,7 +320,7 @@ class TestExportViz:
 
     def test_variant_without_evolution_rejected(self, tmp_path):
         corpus = synth_generate(VIZ_SYNTH)
-        probes, labels, _ = build_viz_probes(corpus, steps=6)
+        probes, labels = build_viz_probes(corpus, steps=6)
         for variant in (ModelVariant.BASE, ModelVariant.TWO_LAYER_GRU_ATT):
             model = DienModel.build(variant, len(corpus.item_vocab),
                                     len(corpus.cat_vocab), 4, 8, (8,), 0.0, seed=1)
@@ -328,7 +329,7 @@ class TestExportViz:
 
     def test_probe_hygiene(self, tmp_path):
         corpus = synth_generate(VIZ_SYNTH)
-        probes, labels, _ = build_viz_probes(corpus, steps=6)
+        probes, labels = build_viz_probes(corpus, steps=6)
         model = self.make_model(corpus)
         t, a = tmp_path / "t.csv", tmp_path / "a.csv"
         with pytest.raises(ConfigError, match="reserved"):

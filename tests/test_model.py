@@ -240,8 +240,8 @@ def zero_mlp(model):
     return model
 
 
-def probs_of(model, insts, **kw):
-    return forward_batch(model, make_batch(insts, **kw))["probs"]
+def probs_of(model, insts):
+    return forward_batch(model, make_batch(insts))["probs"]
 
 
 class TestBaseForward:
@@ -313,7 +313,8 @@ class TestDienForward:
                         ModelVariant.GRU_AGRU, ModelVariant.DIEN):
             model = build(variant, seed=9)
             inst = rand_instance(rng, length=4)
-            assert probs_of(model, [inst], pad_to=9)[0] == pytest.approx(
+            padded = [inst, rand_instance(rng, length=9)]  # pads inst to 9 steps
+            assert probs_of(model, padded)[0] == pytest.approx(
                 probs_of(model, [inst])[0], abs=1e-12)
 
     def test_probability_open_interval_all_variants(self):
@@ -441,11 +442,8 @@ class TestBatching:
         np.testing.assert_array_equal(batch.valid, [2, 4])
 
     def test_make_batch_guards(self):
-        rng = np.random.default_rng(98)
         with pytest.raises(UsageError):
             make_batch([])
-        with pytest.raises(ShapeError):
-            make_batch([rand_instance(rng, length=4)], pad_to=3)
 
     def test_negative_draws_avoid_exclusions(self):
         rng = np.random.default_rng(99)

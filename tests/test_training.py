@@ -1,6 +1,8 @@
 """Optimizer behavior, the training loop's determinism contract, and the
 finite-difference harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,8 @@ class TestTrainConfig:
             dict(epochs=-1),
             dict(batch_size=0),
             dict(learning_rate=0.0),
+            dict(learning_rate=float("nan")),
+            dict(learning_rate=float("inf")),
             dict(embed_dim=0),
             dict(mlp_hidden=(8, 0)),
             dict(max_history=0),
@@ -183,8 +187,8 @@ class TestTrain:
         assert last < first
 
     def test_empty_train_split_rejected(self):
-        corpus = synth_generate(SynthConfig(n_users=10, n_items=30, n_cats=3,
-                                            seed=23, test_fraction=1.0))
+        corpus = replace(synth_generate(SynthConfig(n_users=10, n_items=30, n_cats=3,
+                                                    seed=23)), train_idx=[])
         with pytest.raises(UsageError):
             train(corpus, small_config())
 
