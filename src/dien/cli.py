@@ -10,8 +10,8 @@ Logs go to standard error; data goes to files (gradcheck additionally
 prints its report to standard output).  Exit codes: 0 success, 1 invalid
 configuration or input, 2 runtime failure.
 
-The train, ablation and synth settings are the fields of TrainConfig and
-SynthConfig, with their defaults.
+The train and synth settings are the fields of TrainConfig and SynthConfig,
+with their defaults; ablation takes TrainConfig's fields except variant.
 """
 
 from __future__ import annotations
@@ -101,7 +101,9 @@ _SCHEMAS = {
         "split_seed": (_pint, 0), "max_history": (_pint, 50), "out": (_pstr, "out_eval"),
     },
     "ablation": {
-        **_fields_of(TrainConfig), "corpus": _REQUIRED, "split_seed": (_pint, 0),
+        # the variants list takes the place of TrainConfig's one variant
+        **{k: v for k, v in _fields_of(TrainConfig).items() if k != "variant"},
+        "corpus": _REQUIRED, "split_seed": (_pint, 0),
         "variants": (_pstrs, ("base", "two_layer_gru_att", "gru_augru", "dien")),
         "n_repeats": (_pint, 5), "out": (_pstr, "out_ablation"),
     },
@@ -290,7 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "mlp_hidden": "comma-separated hidden widths",
     }
     for command, schema in _SCHEMAS.items():
-        sub = subs.add_parser(command)
+        # no abbreviated flags: a removed setting must not resolve to a longer one
+        sub = subs.add_parser(command, allow_abbrev=False)
         sub.add_argument("--config", help="INI file with a [%s] section" % command)
         for key in schema:
             flag = "--" + key.replace("_", "-")

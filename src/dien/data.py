@@ -176,19 +176,20 @@ def parse_corpus(path, split_seed: int = 0) -> Corpus:
                 continue
             parts = line.split("\t")
             if len(parts) != 5:
-                raise ParseError(f"line {lineno}: expected 5 fields, found {len(parts)}")
+                raise ParseError(f"{path}: line {lineno}: expected 5 fields, found {len(parts)}")
             label_s, target_item_s, target_cat_s, hist_items_s, hist_cats_s = parts
             if label_s not in ("0", "1"):
-                raise ParseError(f"line {lineno}: field 1: label must be 0 or 1, got {label_s!r}")
+                raise ParseError(f"{path}: line {lineno}: field 1: "
+                                 f"label must be 0 or 1, got {label_s!r}")
             items = hist_items_s.split(",") if hist_items_s else []
             cats = hist_cats_s.split(",") if hist_cats_s else []
             if len(items) != len(cats):
                 raise ParseError(
-                    f"line {lineno}: field 4/5: {len(items)} history items vs "
+                    f"{path}: line {lineno}: field 4/5: {len(items)} history items vs "
                     f"{len(cats)} categories"
                 )
             if not items:
-                raise ParseError(f"line {lineno}: field 4: empty history")
+                raise ParseError(f"{path}: line {lineno}: field 4: empty history")
             for field_no, tokens in enumerate(([target_item_s], [target_cat_s], items, cats), 2):
                 if PAD_TOKEN in tokens:
                     raise ParseError(f"{path}: line {lineno}: field {field_no}: "

@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import enum
 import json
+import math
+import os
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -239,7 +242,7 @@ class DienModel:
         return out
 
     def all_arrays(self) -> dict[str, np.ndarray]:
-        """param_arrays plus the two embedding matrices (for flattening)."""
+        """param_arrays plus the two embedding matrices, in checkpoint order."""
         out = {"item_emb": self.item_table.weights, "cat_emb": self.cat_table.weights}
         out.update(self.param_arrays())
         return out
@@ -274,6 +277,7 @@ class DienModel:
 
     @classmethod
     def load(cls, path) -> "DienModel":
+        """Read a checkpoint written by save, checking its arrays list first."""
         with open(path, "rb") as fh:
             try:
                 header = json.loads(fh.readline().decode("utf-8"))
@@ -289,34 +293,29 @@ class DienModel:
                 except (KeyError, TypeError, ValueError):
                     raise ParseError(f"{path}: bad checkpoint header field {name!r}") from None
 
-            arrays = field("arrays", lambda v: [(str(n), [int(k) for k in s]) for n, s in v])
-            blobs = {}
-            for name, shape in arrays:
-                count = int(np.prod(shape)) if shape else 1
-                raw = fh.read(count * 8)
-                if len(raw) != count * 8:
-                    raise ParseError(f"{path}: truncated array {name!r}")
-                blobs[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            if fh.read(1):
-                raise ParseError(f"{path}: trailing bytes after the last array")
-
-        model = cls.build(
-            field("variant", ModelVariant), field("item_vocab", int), field("cat_vocab", int),
-            field("embed_dim", int), field("hidden_size", int),
-            field("mlp_widths", lambda v: [int(w) for w in v])[1:-1],
-            field("alpha", _nonnegative_float), seed=0,
-        )
-        for name, arr in model.all_arrays().items():
-            if name not in blobs:
-                raise ParseError(f"{path}: missing array {name!r}")
-            if blobs[name].shape != arr.shape:
-                raise ParseError(
-                    f"{path}: array {name!r} has shape {blobs[name].shape}, "
-                    f"expected {arr.shape}"
-                )
-            if not np.all(np.isfinite(blobs[name])):
-                raise ParseError(f"{path}: array {name!r} holds non-finite values")
-            arr[...] = blobs[name]
+            # the listed arrays must account for every byte before any is read
+            listed = field("arrays", lambda v: [(str(n), tuple(int(k) for k in s)) for n, s in v])
+            claimed = 8 * sum(math.prod(shape) for _, shape in listed)
+            held = os.fstat(fh.fileno()).st_size - fh.tell()
+            if held != claimed:
+                problem = "truncated" if held < claimed else "trailing bytes"
+                raise ParseError(f"{path}: {problem}: {held} array bytes, {claimed} listed")
+            model = cls.build(
+                field("variant", ModelVariant), field("item_vocab", int),
+                field("cat_vocab", int), field("embed_dim", int), field("hidden_size", int),
+                field("mlp_widths", lambda v: [int(w) for w in v])[1:-1],
+                field("alpha", _nonnegative_float), seed=0,
+            )
+            arrays = model.all_arrays()
+            expected = [(name, arr.shape) for name, arr in arrays.items()]
+            if listed != expected:
+                k, got, want = next((k, a, b) for k, (a, b) in enumerate(
+                    zip_longest(listed, expected, fillvalue="nothing")) if a != b)
+                raise ParseError(f"{path}: array {k} is {got}, the model expects {want}")
+            for name, arr in arrays.items():
+                arr[...] = np.frombuffer(fh.read(arr.nbytes), dtype="<f8").reshape(arr.shape)
+                if not np.all(np.isfinite(arr)):
+                    raise ParseError(f"{path}: array {name!r} holds non-finite values")
         return model
 
 

@@ -1,10 +1,10 @@
 """Dense float64 kernels every higher layer is built from.
 
-All public operations are pure functions over numpy arrays: vectors are 1-D
+All public operations are functions over numpy arrays: vectors are 1-D
 float64 arrays, matrices are 2-D row-major float64 arrays.  The elementwise
 kernels broadcast, so the same code serves a single vector or a batch of row
-vectors.  Nothing here mutates its inputs and nothing lets a NaN/Inf escape
-unnoticed.
+vectors.  Only finite_diff_grad mutates its input, and it restores each entry
+it perturbs.  Nothing lets a NaN/Inf escape unnoticed.
 """
 
 from __future__ import annotations
@@ -14,16 +14,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError
-
-
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Validate and return `x` as a finite, nonempty 1-D float64 array."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ShapeError(f"{name} must be a nonempty 1-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{name} contains non-finite entries")
-    return arr
 
 
 def sigmoid(x) -> np.ndarray:
@@ -47,29 +37,32 @@ def log_sigmoid(x) -> np.ndarray:
 
 
 def finite_diff_grad(
-    f: Callable[[np.ndarray], float], params, epsilon: float = 1e-5
+    f: Callable[[], float], arr: np.ndarray, epsilon: float = 1e-5
 ) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector.
+    """Central-difference gradient of `f()` with respect to the entries of `arr`.
 
-    grad[k] = (f(p + eps*e_k) - f(p - eps*e_k)) / (2*eps).  `f` must be
-    deterministic; a non-finite evaluation raises NumericError naming the
-    coordinate responsible.
+    grad[k] = (f() at arr[k] + eps - f() at arr[k] - eps) / (2*eps), with
+    `arr` perturbed in place, so `f` must read it.  Each entry is restored
+    before the next, also when `f` raises.  `f` must be deterministic; a
+    non-finite evaluation raises NumericError naming the flat coordinate.
     """
-    params = as_vector(params, "params")
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    grad = np.empty_like(params)
-    for k in range(params.size):
-        bumped = params.copy()
-        bumped[k] = params[k] + epsilon
-        f_plus = float(f(bumped))
-        bumped[k] = params[k] - epsilon
-        f_minus = float(f(bumped))
+    if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64):
+        raise ShapeError("finite_diff_grad perturbs arr in place: it must be a float64 ndarray")
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise DomainError(f"epsilon must be finite and positive, got {epsilon}")
+    grad = np.empty_like(arr)
+    for k, idx in enumerate(np.ndindex(arr.shape)):
+        orig = arr[idx]
+        try:
+            arr[idx] = orig + epsilon
+            f_plus = float(f())
+            arr[idx] = orig - epsilon
+            f_minus = float(f())
+        finally:
+            arr[idx] = orig
         if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericError(
-                f"non-finite function value while perturbing coordinate {k}"
-            )
-        grad[k] = (f_plus - f_minus) / (2.0 * epsilon)
+            raise NumericError(f"non-finite function value while perturbing coordinate {k}")
+        grad[idx] = (f_plus - f_minus) / (2.0 * epsilon)
     return grad
 
 

@@ -236,6 +236,8 @@ def grad_check(config: TrainConfig, tolerance: float = 1e-4,
     config.validate()
     if not (np.isfinite(tolerance) and tolerance > 0):
         raise ConfigError(f"tolerance must be finite and positive, got {tolerance}")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ConfigError(f"epsilon must be finite and positive, got {epsilon}")
     n_items, n_cats = 9, 5
     model = DienModel.build(
         config.variant, n_items, n_cats, config.embed_dim, 2 * config.embed_dim,
@@ -255,37 +257,17 @@ def grad_check(config: TrainConfig, tolerance: float = 1e-4,
         neg_cats = (neg_items - 1) % (n_cats - 1) + 1
         negatives = (neg_items, neg_cats)
 
-    model.item_table.zero_grad()
-    model.cat_table.zero_grad()
-    ctx = forward_batch(model, batch, negatives)
-    analytic = model_backward(model, ctx)
-    analytic["item_emb"] = model.item_table.grad_columns().copy()
-    analytic["cat_emb"] = model.cat_table.grad_columns().copy()
-    model.item_table.zero_grad()
-    model.cat_table.zero_grad()
+    # the fresh tables' gradient buffers start at zero; the probes only run forward
+    analytic = model_backward(model, forward_batch(model, batch, negatives))
+    analytic["item_emb"] = model.item_table.grad_columns()
+    analytic["cat_emb"] = model.cat_table.grad_columns()
 
-    # the numeric oracle works on one flat vector; scatter each probe into
-    # the live arrays, then slice its gradient back apart per group
-    arrays = model.all_arrays()
-    base = np.concatenate([a.ravel() for a in arrays.values()])
-
-    def scatter(flat: np.ndarray) -> None:
-        offset = 0
-        for arr in arrays.values():
-            arr[...] = flat[offset:offset + arr.size].reshape(arr.shape)
-            offset += arr.size
-
-    def loss_at(flat: np.ndarray) -> float:
-        scatter(flat)
+    def loss() -> float:
         probe_ctx = forward_batch(model, batch, negatives)
         return total_loss(probe_ctx["l_target"], probe_ctx["l_aux"], config.alpha)
 
-    numeric_flat = finite_diff_grad(loss_at, base, epsilon=epsilon)
-    scatter(base)
     report = GradCheckReport(tolerance=tolerance)
-    offset = 0
-    for name, arr in arrays.items():
-        numeric = numeric_flat[offset:offset + arr.size].reshape(arr.shape)
-        offset += arr.size
+    for name, arr in model.all_arrays().items():
+        numeric = finite_diff_grad(loss, arr, epsilon=epsilon)
         report.groups[name] = max_rel_error(numeric, analytic[name])
     return report

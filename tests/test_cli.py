@@ -10,7 +10,6 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,6 @@ import dien
 from dien.cli import _SCHEMAS, main
 from dien.data import parse_corpus
 from dien.model import DienModel, ModelVariant
-from dien.training import TrainConfig
 
 SYNTH_FLAGS = ["--n-users", "80", "--n-items", "120", "--n-cats", "10",
                "--seq-len", "6", "--seed", "7"]
@@ -91,10 +89,13 @@ class TestConfigResolution:
 
     def test_removed_keys_rejected(self, tmp_path, capsys):
         # the hidden width is derived from embed_dim, training and scoring
-        # run serially, the corpus file holds no split, and the viz probes
-        # never read one: none of these is a setting
+        # run serially, the corpus file holds no split, the viz probes
+        # never read one, and an ablation trains each of its variants list:
+        # none of these is a setting, and no flag abbreviates to a longer one
+        # (--variant to --variants)
         removed = (("train", "hidden_size"), ("ablation", "workers"),
-                   ("synth", "test_fraction"), ("viz", "split_seed"), ("eval", "workers"))
+                   ("synth", "test_fraction"), ("viz", "split_seed"), ("eval", "workers"),
+                   ("ablation", "variant"))
         for section, key in removed:
             cfg = self.write_cfg(tmp_path, f"[{section}]\n{key} = 8\n")
             rc = main([section, "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -203,6 +204,18 @@ class TestGradcheck:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_epsilon_must_be_finite_and_positive(self, value, tmp_path, capsys):
+        # an infinite step made every probe's loss non-finite, a runtime
+        # failure (exit 2) for what is a bad setting
+        rc = main(["gradcheck", "--epsilon", value, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "epsilon must be finite and positive" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
 
 class TestViz:
     def test_outputs(self, corpus_dir, train_dir, tmp_path):
@@ -249,7 +262,8 @@ REFERENCE_FLAGS = {
     "train": TINY_TRAIN_FLAGS,
     "eval": [],
     "viz": ["--steps", "6"],
-    "ablation": ["--variants", "base", "--n-repeats", "1", *TINY_TRAIN_FLAGS],
+    # dien, so that alpha reaches the AUC
+    "ablation": ["--variants", "dien", "--n-repeats", "1", *TINY_TRAIN_FLAGS],
     "gradcheck": [],
 }
 PATH_KEYS = {"corpus", "checkpoint", "out"}
@@ -266,7 +280,15 @@ PERTURBED = {
     ("viz", "steps"): "5",
     ("ablation", "variants"): "gru_augru", ("ablation", "n_repeats"): "2",
     ("ablation", "split_seed"): "1",
+    # on the 80-row held-out split, alpha 0.5 happens to give the reference AUC
+    ("ablation", "alpha"): "0.2", ("ablation", "epochs"): "2",
+    ("ablation", "batch_size"): "16", ("ablation", "learning_rate"): "0.001",
+    ("ablation", "seed"): "1", ("ablation", "embed_dim"): "3",
+    ("ablation", "mlp_hidden"): "6", ("ablation", "max_history"): "3",
     ("gradcheck", "tolerance"): "0.001", ("gradcheck", "epsilon"): "0.0001",
+    ("gradcheck", "variant"): "gru_augru", ("gradcheck", "alpha"): "0.5",
+    ("gradcheck", "embed_dim"): "3", ("gradcheck", "mlp_hidden"): "6",
+    ("gradcheck", "seed"): "1",
 }
 
 
@@ -318,12 +340,10 @@ class TestEverySettingMatters:
     must change some output file or stdout when perturbed alone."""
 
     def test_table_covers_every_setting(self):
-        # gradcheck and ablation share TrainConfig's fields with train,
-        # whose perturbations cover them
-        shared = {f.name for f in fields(TrainConfig)}
+        # every command's copy of a shared TrainConfig field is perturbed on
+        # its own: a command may drop or override what another one reads
         want = {(command, key) for command, schema in _SCHEMAS.items() for key in schema
-                if key not in PATH_KEYS
-                and not (command in ("ablation", "gradcheck") and key in shared)}
+                if key not in PATH_KEYS}
         assert set(PERTURBED) == want
 
     @pytest.mark.parametrize("command, key", sorted(PERTURBED),
@@ -335,12 +355,27 @@ class TestEverySettingMatters:
         assert got != reference_outputs(command), f"{command} {key} changed no output"
 
 
-def _header_edit(edit):
-    """A corruption that rewrites the checkpoint's JSON header line."""
+def _checkpoint_edit(edit):
+    """A corruption that rewrites the checkpoint's JSON header line and its
+    array bytes: `edit(header, body)` returns both."""
     def corrupt(raw):
         head, body = raw.split(b"\n", 1)
-        return json.dumps(edit(json.loads(head))).encode() + b"\n" + body
+        head, body = edit(json.loads(head), body)
+        return json.dumps(head).encode() + b"\n" + body
     return corrupt
+
+
+def _header_edit(edit):
+    """A corruption that rewrites the checkpoint's JSON header line."""
+    return _checkpoint_edit(lambda head, body: (edit(head), body))
+
+
+def _listed(head, arrays):
+    return {**head, "arrays": arrays}
+
+
+def _ones(shape):
+    return np.ones(shape, dtype="<f8").tobytes()
 
 
 # name -> (corruption of the checkpoint bytes, text the error line must hold)
@@ -355,6 +390,22 @@ CORRUPT_CHECKPOINTS = {
     # the last eight bytes are the head's output bias
     "NaN weight": (lambda raw: raw[:-8] + np.array([np.nan], dtype="<f8").tobytes(),
                    "'mlp.b1' holds non-finite"),
+    # the dien model lists 25 arrays, item_emb first and mlp.b1 (1,) last;
+    # each edit below keeps the byte count equal to what the header lists
+    "array listed twice": (_checkpoint_edit(lambda h, b: (
+        _listed(h, h["arrays"] + h["arrays"][:1]), b + _ones(h["arrays"][0][1]))),
+        "array 25 is ('item_emb'"),
+    "array the model lacks": (_checkpoint_edit(lambda h, b: (
+        _listed(h, h["arrays"] + [["bogus", [2]]]), b + _ones(2))),
+        "array 25 is ('bogus', (2,)), the model expects nothing"),
+    "missing array": (_checkpoint_edit(lambda h, b: (_listed(h, h["arrays"][:-1]), b[:-8])),
+                      "array 24 is nothing, the model expects ('mlp.b1', (1,))"),
+    "wrong shape": (_checkpoint_edit(lambda h, b: (
+        _listed(h, h["arrays"][:-1] + [["mlp.b1", [2]]]), b + _ones(1))),
+        "array 24 is ('mlp.b1', (2,)), the model expects ('mlp.b1', (1,))"),
+    # 32 TB of item_emb: the byte count is checked before anything is allocated
+    "huge shape": (_header_edit(lambda h: _listed(
+        h, [["item_emb", [h["arrays"][0][1][0], 10**12]], *h["arrays"][1:]])), "truncated"),
 }
 
 
@@ -380,6 +431,8 @@ CORRUPT_CORPORA = {
     # the padding token would alias id 0, the zero padding vector
     "padding token in corpus": (_middle_line_edit(_pad_first_behavior),
                                 "line 81: field 4: <pad>"),
+    "two-field corpus line": (_middle_line_edit(lambda l: b"1\tI1\n"),
+                              "line 81: expected 5 fields, found 2"),
 }
 
 

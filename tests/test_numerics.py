@@ -138,16 +138,18 @@ class TestSoftmax:
 
 class TestFiniteDiff:
     def test_constant_function(self):
-        g = finite_diff_grad(lambda p: 3.0, np.ones(4))
+        g = finite_diff_grad(lambda: 3.0, np.ones(4))
         np.testing.assert_array_equal(g, np.zeros(4))
 
     def test_linear_is_exact(self):
         w = np.array([2.0, -1.0, 0.5])
-        g = finite_diff_grad(lambda p: float(w @ p), np.array([1.0, 1.0, 1.0]))
+        p = np.array([1.0, 1.0, 1.0])
+        g = finite_diff_grad(lambda: float(w @ p), p)
         np.testing.assert_allclose(g, w, atol=1e-9)
 
     def test_squared_norm(self):
-        g = finite_diff_grad(lambda p: float(p @ p), np.array([1.0, 2.0]), epsilon=1e-5)
+        p = np.array([1.0, 2.0])
+        g = finite_diff_grad(lambda: float(p @ p), p, epsilon=1e-5)
         np.testing.assert_allclose(g, [2.0, 4.0], atol=1e-8)
 
     def test_quadratic_form(self):
@@ -156,19 +158,45 @@ class TestFiniteDiff:
         rng = np.random.default_rng(11)
         a = rng.standard_normal((5, 5))
         p = rng.standard_normal(5)
-        g = finite_diff_grad(lambda q: float(q @ a @ q), p, epsilon=1e-5)
+        g = finite_diff_grad(lambda: float(p @ a @ p), p, epsilon=1e-5)
         assert max_rel_error(g, (a + a.T) @ p) < 1e-6
 
+    def test_matrix_shaped_and_restored(self):
+        m = np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -1.0]])
+        before = m.copy()
+        g = finite_diff_grad(lambda: float((m * m).sum()), m)
+        assert g.shape == m.shape
+        np.testing.assert_allclose(g, 2.0 * before, atol=1e-8)
+        np.testing.assert_array_equal(m, before)
+
+    def test_restored_when_f_raises(self):
+        p = np.array([1.0, 2.0])
+
+        def f():
+            raise RuntimeError("probe failed")
+
+        with pytest.raises(RuntimeError):
+            finite_diff_grad(f, p)
+        np.testing.assert_array_equal(p, [1.0, 2.0])
+
     def test_bad_epsilon(self):
-        with pytest.raises(DomainError):
-            finite_diff_grad(lambda p: 0.0, np.ones(2), epsilon=0.0)
+        for epsilon in (0.0, -1e-5, np.inf, np.nan):
+            with pytest.raises(DomainError, match="finite and positive"):
+                finite_diff_grad(lambda: 0.0, np.ones(2), epsilon=epsilon)
+
+    def test_needs_a_float64_array(self):
+        with pytest.raises(ShapeError):
+            finite_diff_grad(lambda: 0.0, [1.0, 2.0])
 
     def test_nonfinite_names_coordinate(self):
-        def f(p):
+        p = np.array([1.0, 1.0])
+
+        def f():
             return float("nan") if p[1] != 1.0 else 0.0
 
         with pytest.raises(NumericError, match="coordinate 1"):
-            finite_diff_grad(f, np.array([1.0, 1.0]))
+            finite_diff_grad(f, p)
+        np.testing.assert_array_equal(p, [1.0, 1.0])
 
 
 class TestMaxRelError:

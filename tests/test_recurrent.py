@@ -258,8 +258,9 @@ class TestSequenceEngine:
         np.testing.assert_array_equal(d_inputs, np.zeros((1, 1, 2)))
 
 
-def flat_check(build_loss, arr, analytic, tol=1e-6):
-    """Finite-difference a scalar loss along the entries of one array.
+def flat_check(loss, arr, analytic, tol=1e-6):
+    """Finite-difference `loss()` along the entries of `arr`, which it reads
+    and which is perturbed in place, one entry at a time, then restored.
 
     The four-point central stencil's truncation error is O(h^4), so at
     h = 1e-4 its error stays far below the tolerance; a two-point
@@ -267,16 +268,17 @@ def flat_check(build_loss, arr, analytic, tol=1e-6):
     passes or fails by the draw.
     """
     h = 1e-4
-    base = arr.ravel()
-    numeric = np.empty_like(base)
-    for k in range(base.size):
-        def f(step):
-            bumped = base.copy()
-            bumped[k] += step
-            return build_loss(bumped.reshape(arr.shape))
+    numeric = np.empty_like(arr)
+    for idx in np.ndindex(arr.shape):
+        orig = arr[idx]
 
-        numeric[k] = (8.0 * (f(h) - f(-h)) - (f(2 * h) - f(-2 * h))) / (12.0 * h)
-    assert max_rel_error(numeric.reshape(arr.shape), analytic, tol_floor=1e-4) < tol
+        def f(step):
+            arr[idx] = orig + step
+            return loss()
+
+        numeric[idx] = (8.0 * (f(h) - f(-h)) - (f(2 * h) - f(-2 * h))) / (12.0 * h)
+        arr[idx] = orig
+    assert max_rel_error(numeric, analytic, tol_floor=1e-4) < tol
 
 
 class TestRecurrentGradients:
@@ -290,25 +292,20 @@ class TestRecurrentGradients:
         self.lens = np.array([5, 2, 4])
         self.proj = rng.standard_normal((3, 5, 4))  # fixed upstream weights
 
-    def loss_forward(self, xs=None, params=None):
-        states, _ = gru_forward(params or self.p, self.xs if xs is None else xs, self.lens)
+    def loss_forward(self):
+        states, _ = gru_forward(self.p, self.xs, self.lens)
         return float((states * self.proj).sum())
 
     def test_input_gradient(self):
         _, cache = gru_forward(self.p, self.xs, self.lens)
         _, d_inputs = gru_backward(self.p, cache, self.proj)
-        flat_check(lambda a: self.loss_forward(xs=a), self.xs, d_inputs)
+        flat_check(self.loss_forward, self.xs, d_inputs)
 
     def test_parameter_gradients(self):
         _, cache = gru_forward(self.p, self.xs, self.lens)
         grads, _ = gru_backward(self.p, cache, self.proj)
         for name, arr in self.p.arrays().items():
-            def loss(a, name=name):
-                fields = {k: v.copy() for k, v in self.p.arrays().items()}
-                fields[name] = a
-                return self.loss_forward(params=GruParams(**fields))
-
-            flat_check(loss, arr, grads[name])
+            flat_check(self.loss_forward, arr, grads[name])
 
 
 class TestEvolutionGradients:
@@ -329,13 +326,8 @@ class TestEvolutionGradients:
         self.d_evolved = self.proj.copy()
         self.d_evolved[:, -1] += self.proj_final
 
-    def loss(self, variant, states=None, scores=None, params=None):
-        evolved, _ = evolve_forward(
-            params or self.p,
-            self.states if states is None else states,
-            self.scores if scores is None else scores,
-            self.lens, variant,
-        )
+    def loss(self, variant):
+        evolved, _ = evolve_forward(self.p, self.states, self.scores, self.lens, variant)
         return float((evolved * self.proj).sum() + (evolved[:, -1] * self.proj_final).sum())
 
     def backward(self, variant):
@@ -345,27 +337,22 @@ class TestEvolutionGradients:
     @pytest.mark.parametrize("variant", EVOLUTION_VARIANTS)
     def test_state_gradient(self, variant):
         _, d_states, _ = self.backward(variant)
-        flat_check(lambda a: self.loss(variant, states=a), self.states, d_states)
+        flat_check(lambda: self.loss(variant), self.states, d_states)
 
     @pytest.mark.parametrize("variant", EVOLUTION_VARIANTS)
     def test_score_gradient(self, variant):
         _, _, d_scores = self.backward(variant)
-        flat_check(lambda a: self.loss(variant, scores=a), self.scores, d_scores)
+        flat_check(lambda: self.loss(variant), self.scores, d_scores)
 
     @pytest.mark.parametrize("variant", EVOLUTION_VARIANTS)
     def test_parameter_gradients(self, variant):
         grads, _, _ = self.backward(variant)
         for name, arr in self.p.arrays().items():
-            def loss(a, name=name):
-                fields = {k: v.copy() for k, v in self.p.arrays().items()}
-                fields[name] = a
-                return self.loss(variant, params=GruParams(**fields))
-
             if name.endswith("update") and variant == AGRU:
                 # the gate-replacing cell never evaluates its update gate
                 np.testing.assert_array_equal(grads[name], np.zeros_like(arr))
             else:
-                flat_check(loss, arr, grads[name])
+                flat_check(lambda: self.loss(variant), arr, grads[name])
 
     @pytest.mark.parametrize("variant", EVOLUTION_VARIANTS)
     def test_padded_positions_get_no_gradient(self, variant):
@@ -436,15 +423,13 @@ class TestAttention:
         _, cache = attention_forward(states, targets, params, lens)
         d_w, d_states, d_targets = attention_backward(params, cache, proj)
 
-        def loss(w=None, s=None, t=None):
-            got, _ = attention_forward(
-                states if s is None else s, targets if t is None else t,
-                AttentionParams(params.w if w is None else w), lens)
+        def loss():
+            got, _ = attention_forward(states, targets, params, lens)
             return float((got * proj).sum())
 
-        flat_check(lambda a: loss(w=a), params.w, d_w)
-        flat_check(lambda a: loss(s=a), states, d_states)
-        flat_check(lambda a: loss(t=a), targets, d_targets)
+        flat_check(loss, params.w, d_w)
+        flat_check(loss, states, d_states)
+        flat_check(loss, targets, d_targets)
 
     def test_cache_guard(self):
         with pytest.raises(UsageError):
