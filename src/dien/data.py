@@ -20,6 +20,7 @@ models which track interest movement.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,27 +31,37 @@ PAD_TOKEN = "<pad>"
 TEST_FRACTION = 0.1  # share of pair units held out for testing
 
 
+class _Numbering(dict):
+    """Token-to-id dict whose lookup of a new token appends it to `tokens`
+    and returns its id; a known token is numbered without entering Python."""
+
+    def __init__(self):
+        super().__init__()
+        self.tokens: list[str] = []
+
+    def __missing__(self, token):
+        got = self[token] = len(self.tokens)
+        self.tokens.append(token)
+        return got
+
+
 class Vocab:
     """First-seen token-to-dense-id mapping with id 0 reserved for padding."""
 
     def __init__(self):
-        self._tokens: list[str] = [PAD_TOKEN]
-        self._ids: dict[str, int] = {PAD_TOKEN: 0}
+        self._ids = _Numbering()
+        self._tokens = self._ids.tokens
+        self.add(PAD_TOKEN)
 
     def add(self, token: str) -> int:
         """Return the token's id, assigning the next free one if new."""
-        got = self._ids.get(token)
-        if got is None:
-            got = len(self._tokens)
-            self._ids[token] = got
-            self._tokens.append(token)
-        return got
+        return self._ids[token]
 
     def id_of(self, token: str) -> int:
-        try:
-            return self._ids[token]
-        except KeyError:
-            raise VocabularyError(f"unknown token {token!r}") from None
+        got = self._ids.get(token)
+        if got is None:
+            raise VocabularyError(f"unknown token {token!r}")
+        return got
 
     def token_of(self, idx: int) -> str:
         if not 0 <= idx < len(self._tokens):
@@ -109,46 +120,54 @@ class Corpus:
         return [self.instances[i] for i in self.test_idx]
 
 
-def _pair_units(instances: list[Instance]) -> list[list[int]]:
-    """Group adjacent instances sharing a history into split units."""
+def _build_corpus(rows, split_seed: int, provenance: dict) -> Corpus:
+    """The one way a Corpus is made, from token rows in file order.
+
+    Each row is (label, target item, target category, history items,
+    history categories).  Tokens are numbered first-seen in that order
+    within a row.  A row whose history equals the previous row's shares its
+    id tuples and its split unit, so a click and its paired non-click stay
+    on one side; TEST_FRACTION of the units are held out, deterministic in
+    split_seed.  item_cats takes each item's category at its first
+    appearance, a row's history before its target.
+    """
+    if split_seed < 0:
+        raise ConfigError(f"split_seed must not be negative, got {split_seed}")
+    item_vocab, cat_vocab = Vocab(), Vocab()
+    item_id, cat_id = item_vocab._ids.__getitem__, cat_vocab._ids.__getitem__
+    instances: list[Instance] = []
     units: list[list[int]] = []
-    i = 0
-    while i < len(instances):
-        unit = [i]
-        while (
-            i + 1 < len(instances)
-            and instances[i + 1].history_items == instances[i].history_items
-            and instances[i + 1].history_cats == instances[i].history_cats
-        ):
-            i += 1
-            unit.append(i)
-        units.append(unit)
-        i += 1
-    return units
+    item_seq: list[int] = []  # item and category ids in order of appearance
+    cat_seq: list[int] = []
+    history = None
+    for label, target_item, target_cat, hist_items, hist_cats in rows:
+        target = item_id(target_item), cat_id(target_cat)
+        if (hist_items, hist_cats) != history:
+            history = hist_items, hist_cats
+            ids = tuple(map(item_id, hist_items)), tuple(map(cat_id, hist_cats))
+            item_seq += ids[0]
+            cat_seq += ids[1]
+            units.append([])
+        item_seq.append(target[0])
+        cat_seq.append(target[1])
+        units[-1].append(len(instances))
+        instances.append(Instance(*ids, *target, label))
 
-
-def _split_indices(instances, split_seed: int):
-    units = _pair_units(instances)
-    n_test = int(round(len(units) * TEST_FRACTION))
-    rng = np.random.default_rng(split_seed)
-    order = rng.permutation(len(units))
-    test_units = set(order[:n_test].tolist())
+    order = np.random.default_rng(split_seed).permutation(len(units))
+    test_units = set(order[:int(round(len(units) * TEST_FRACTION))].tolist())
     train_idx: list[int] = []
     test_idx: list[int] = []
     for k, unit in enumerate(units):
         (test_idx if k in test_units else train_idx).extend(unit)
-    return train_idx, test_idx
-
-
-def _item_cat_table(instances, n_items: int) -> np.ndarray:
-    cats = np.zeros(n_items, dtype=np.int64)
-    for inst in instances:
-        for item, cat in zip(inst.history_items, inst.history_cats):
-            if cats[item] == 0:
-                cats[item] = cat
-        if cats[inst.target_item] == 0:
-            cats[inst.target_item] = inst.target_cat
-    return cats
+    # read backwards, a dict keeps each item's first category
+    firsts = dict(zip(reversed(item_seq), reversed(cat_seq)))
+    item_cats = np.zeros(len(item_vocab), dtype=np.int64)
+    item_cats[list(firsts)] = list(firsts.values())
+    return Corpus(
+        item_vocab=item_vocab, cat_vocab=cat_vocab, instances=instances,
+        train_idx=train_idx, test_idx=test_idx, item_cats=item_cats,
+        provenance={**provenance, "split_seed": str(split_seed)},
+    )
 
 
 def _decoded(fh, path):
@@ -159,16 +178,10 @@ def _decoded(fh, path):
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def parse_corpus(path, split_seed: int = 0) -> Corpus:
-    """Load a tab-separated corpus file, building vocabularies first-seen.
-
-    Malformed lines fail with their line number; an empty file is an error.
-    The split holds out TEST_FRACTION of the pair units, deterministic in
-    split_seed.
-    """
-    item_vocab = Vocab()
-    cat_vocab = Vocab()
-    instances: list[Instance] = []
+def _file_rows(path):
+    """The validated token rows of a corpus file.  Malformed lines fail
+    with their line number; a file without rows is an error."""
+    history_fields = items = cats = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(_decoded(fh, path), start=1):
             line = raw.rstrip("\n")
@@ -177,41 +190,38 @@ def parse_corpus(path, split_seed: int = 0) -> Corpus:
             parts = line.split("\t")
             if len(parts) != 5:
                 raise ParseError(f"{path}: line {lineno}: expected 5 fields, found {len(parts)}")
-            label_s, target_item_s, target_cat_s, hist_items_s, hist_cats_s = parts
+            label_s, target_item, target_cat, *fields = parts
             if label_s not in ("0", "1"):
                 raise ParseError(f"{path}: line {lineno}: field 1: "
                                  f"label must be 0 or 1, got {label_s!r}")
-            items = hist_items_s.split(",") if hist_items_s else []
-            cats = hist_cats_s.split(",") if hist_cats_s else []
-            if len(items) != len(cats):
-                raise ParseError(
-                    f"{path}: line {lineno}: field 4/5: {len(items)} history items vs "
-                    f"{len(cats)} categories"
-                )
-            if not items:
-                raise ParseError(f"{path}: line {lineno}: field 4: empty history")
-            for field_no, tokens in enumerate(([target_item_s], [target_cat_s], items, cats), 2):
+            if fields != history_fields:  # a pair's second line reuses the first's lists
+                items = fields[0].split(",") if fields[0] else []
+                cats = fields[1].split(",") if fields[1] else []
+                if len(items) != len(cats):
+                    raise ParseError(
+                        f"{path}: line {lineno}: field 4/5: {len(items)} history items vs "
+                        f"{len(cats)} categories"
+                    )
+                if not items:
+                    raise ParseError(f"{path}: line {lineno}: field 4: empty history")
+            for field_no, tokens in enumerate(([target_item], [target_cat], items, cats), 2):
                 if PAD_TOKEN in tokens:
                     raise ParseError(f"{path}: line {lineno}: field {field_no}: "
                                      f"{PAD_TOKEN} is the reserved padding token")
-            target_item = item_vocab.add(target_item_s)
-            target_cat = cat_vocab.add(target_cat_s)
-            instances.append(Instance(
-                history_items=tuple(item_vocab.add(tok) for tok in items),
-                history_cats=tuple(cat_vocab.add(tok) for tok in cats),
-                target_item=target_item,
-                target_cat=target_cat,
-                label=int(label_s),
-            ))
-    if not instances:
+            history_fields = fields
+            yield int(label_s), target_item, target_cat, items, cats
+    if history_fields is None:
         raise ParseError(f"{path}: no instances found")
-    train_idx, test_idx = _split_indices(instances, split_seed)
-    return Corpus(
-        item_vocab=item_vocab, cat_vocab=cat_vocab, instances=instances,
-        train_idx=train_idx, test_idx=test_idx,
-        item_cats=_item_cat_table(instances, len(item_vocab)),
-        provenance={"kind": "file", "path": str(path), "split_seed": str(split_seed)},
-    )
+
+
+def parse_corpus(path, split_seed: int = 0) -> Corpus:
+    """Load a tab-separated corpus file, building vocabularies first-seen.
+
+    Malformed lines fail with their line number; an empty file is an error.
+    The split holds out TEST_FRACTION of the pair units, deterministic in
+    split_seed.
+    """
+    return _build_corpus(_file_rows(path), split_seed, {"kind": "file", "path": str(path)})
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -246,6 +256,8 @@ class SynthConfig:
             raise ConfigError(f"seq_len must be at least 2, got {self.seq_len}")
         if self.n_users < 1:
             raise ConfigError(f"n_users must be positive, got {self.n_users}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
         if self.n_items < 2 * self.n_cats:
             raise ConfigError(
                 f"n_items={self.n_items} leaves no spare targets for "
@@ -255,11 +267,6 @@ class SynthConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be a probability, got {value}")
-
-
-def _category_of(item: int, n_cats: int) -> int:
-    # items are dealt round-robin: category c owns ids c, c + n_cats, ...
-    return (item - 1) % n_cats + 1
 
 
 def _items_of_category(cat: int, n_items: int, n_cats: int) -> range:
@@ -284,19 +291,25 @@ def synth_generate(config: SynthConfig) -> Corpus:
 
     Labels are balanced exactly 50/50 by pairing, the positive target never
     sits in its own history, and the whole corpus is a pure function of the
-    config.
+    config.  Items are the tokens i1..i<n_items>, categories c1..c<n_cats>,
+    and the corpus is built as parse_corpus builds its saved file, split at
+    split_seed 0.
     """
     config.validate()
+    return _build_corpus(_synth_rows(config), 0, {
+        "kind": "synthetic", "seed": str(config.seed),
+        "n_users": str(config.n_users), "n_items": str(config.n_items),
+        "n_cats": str(config.n_cats), "seq_len": str(config.seq_len),
+        "drift_prob": repr(config.drift_prob), "noise": repr(config.noise),
+    })
+
+
+def _synth_rows(config: SynthConfig):
+    """The generator's token rows: per user a click, then its non-click."""
     rng = np.random.default_rng(config.seed)
     n_cats = config.n_cats
-    item_vocab = Vocab()
-    cat_vocab = Vocab()
-    for i in range(1, config.n_items + 1):
-        item_vocab.add(f"i{i}")
-    for c in range(1, n_cats + 1):
-        cat_vocab.add(f"c{c}")
-
-    instances: list[Instance] = []
+    # memoised: a known id's token costs a C-level dict lookup, not a format
+    item_token, cat_token = functools.cache("i{}".format), functools.cache("c{}".format)
     for _ in range(config.n_users):
         latent = int(rng.integers(1, n_cats + 1))
         hist_items: list[int] = []
@@ -326,25 +339,9 @@ def synth_generate(config: SynthConfig) -> Corpus:
         neg_pool = _items_of_category(neg_cat, config.n_items, n_cats)
         neg_item = neg_pool[int(rng.integers(len(neg_pool)))]
 
-        shared_items = tuple(hist_items)
-        shared_cats = tuple(hist_cats)
-        instances.append(Instance(shared_items, shared_cats, pos_item, latent, 1))
-        instances.append(Instance(shared_items, shared_cats, neg_item, neg_cat, 0))
-
-    train_idx, test_idx = _split_indices(instances, int(rng.integers(2**31)))
-    item_cats = np.zeros(config.n_items + 1, dtype=np.int64)
-    for i in range(1, config.n_items + 1):
-        item_cats[i] = _category_of(i, n_cats)
-    return Corpus(
-        item_vocab=item_vocab, cat_vocab=cat_vocab, instances=instances,
-        train_idx=train_idx, test_idx=test_idx, item_cats=item_cats,
-        provenance={
-            "kind": "synthetic", "seed": str(config.seed),
-            "n_users": str(config.n_users), "n_items": str(config.n_items),
-            "n_cats": str(n_cats), "seq_len": str(config.seq_len),
-            "drift_prob": repr(config.drift_prob), "noise": repr(config.noise),
-        },
-    )
+        items, cats = tuple(map(item_token, hist_items)), tuple(map(cat_token, hist_cats))
+        yield 1, item_token(pos_item), cat_token(latent), items, cats
+        yield 0, item_token(neg_item), cat_token(neg_cat), items, cats
 
 
 def truncate_history(instance: Instance, max_len: int) -> Instance:

@@ -46,9 +46,9 @@ class TrainConfig:
     def validate(self) -> None:
         if not self.alpha >= 0:
             raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
-        for name in ("epochs",):
+        for name in ("epochs", "seed"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must not be negative")
+                raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
         for name in ("batch_size", "embed_dim", "max_history"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")

@@ -17,8 +17,9 @@ import pytest
 
 import dien
 from dien.cli import _SCHEMAS, main
-from dien.data import parse_corpus
+from dien.data import SynthConfig, parse_corpus, synth_generate
 from dien.model import DienModel, ModelVariant
+from dien.training import TrainConfig, train
 
 SYNTH_FLAGS = ["--n-users", "80", "--n-items", "120", "--n-cats", "10",
                "--seq-len", "6", "--seed", "7"]
@@ -254,6 +255,40 @@ class TestAblation:
         assert metrics[1].startswith("base,0,")
         assert metrics[2].startswith("gru_augru,0,")
         assert summary[1].split(",")[0] == "base"
+
+
+class TestNegativeSeed:
+    """A negative seed is a bad setting: exit 1 with one line, not a
+    traceback from the random generator."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("synth", "--seed"), ("train", "--seed"), ("train", "--split-seed"),
+        ("gradcheck", "--seed"), ("ablation", "--seed"),
+    ])
+    def test_exit_1_with_one_line(self, command, flag, corpus_dir, tmp_path, capsys):
+        argv = [command, flag, "-1", "--out", str(tmp_path / "out")]
+        if command in ("train", "ablation"):
+            argv += ["--corpus", str(corpus_dir / "corpus.tsv")]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("ERROR ")
+        assert f"{flag[2:].replace('-', '_')} must not be negative" in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_library_trains_the_cli_checkpoint(tmp_path):
+    # the generated corpus in memory is the one `dien train` parses back
+    assert main(["synth", "--n-users", "300", "--seed", "3",
+                 "--out", str(tmp_path / "synth")]) == 0
+    assert main(["train", "--corpus", str(tmp_path / "synth" / "corpus.tsv"), "--epochs", "1",
+                 "--embed-dim", "4", "--mlp-hidden", "8", "--out", str(tmp_path / "train")]) == 0
+    model, _ = train(synth_generate(SynthConfig(n_users=300, seed=3)),
+                     TrainConfig(epochs=1, embed_dim=4, mlp_hidden=(8,)))
+    model.save(tmp_path / "library.ckpt")
+    assert (tmp_path / "library.ckpt").read_bytes() == \
+        (tmp_path / "train" / "model.ckpt").read_bytes()
 
 
 # command -> the flags of its reference run, path settings aside

@@ -141,6 +141,24 @@ class TestParseCorpus:
         for k in range(0, len(got.instances), 2):
             assert ((k in test) == (k + 1 in test)), "pair split across train/test"
 
+    def test_ids_follow_line_order(self, tmp_path):
+        # within a line: target item, target category, history items, history
+        # categories; item_cats reads a line's history before its target
+        p = write_corpus(tmp_path,
+                         "1\tA\tX\tB,A\tY,Z\n"
+                         "0\tD\tW\tC,E\tX,Y\n")
+        corpus = parse_corpus(p)
+        assert corpus.item_vocab.tokens() == [PAD_TOKEN, "A", "B", "D", "C", "E"]
+        assert corpus.cat_vocab.tokens() == [PAD_TOKEN, "X", "Y", "Z", "W"]
+        assert corpus.instances == [Instance((2, 1), (2, 3), 1, 1, 1),
+                                    Instance((4, 5), (1, 2), 3, 4, 0)]
+        assert corpus.item_cats.tolist() == [0, 3, 2, 4, 1, 2]
+
+    def test_negative_split_seed_rejected(self, tmp_path):
+        p = write_corpus(tmp_path, "1\tI1\tC1\tI2\tC1\n")
+        with pytest.raises(ConfigError, match="split_seed must not be negative"):
+            parse_corpus(p, split_seed=-1)
+
     def test_all_instances_covered_once(self, tmp_path):
         # distinct histories so each line is its own split unit
         p = write_corpus(tmp_path, "".join(
@@ -168,6 +186,8 @@ class TestSynthConfig:
             SynthConfig(seq_len=1).validate()
         with pytest.raises(ConfigError):
             SynthConfig(n_items=15, n_cats=10).validate()
+        with pytest.raises(ConfigError, match="seed must not be negative"):
+            SynthConfig(seed=-1).validate()
 
 
 class TestSynthGenerate:
@@ -252,10 +272,24 @@ class TestSynthGenerate:
             total += len(cats) - 1
         assert abs(changes / total - 0.414) < 0.02
 
+    @pytest.mark.parametrize("n_users", [300, 2000])
+    def test_equals_its_round_trip(self, n_users, tmp_path):
+        # the library trains on exactly the corpus `dien train` parses
+        corpus = synth_generate(SynthConfig(n_users=n_users))
+        save_corpus(corpus, tmp_path / "c.tsv")
+        parsed = parse_corpus(tmp_path / "c.tsv")
+        assert corpus.item_vocab.tokens() == parsed.item_vocab.tokens()
+        assert corpus.cat_vocab.tokens() == parsed.cat_vocab.tokens()
+        assert corpus.instances == parsed.instances
+        assert corpus.train_idx == parsed.train_idx
+        assert corpus.test_idx == parsed.test_idx
+        np.testing.assert_array_equal(corpus.item_cats, parsed.item_cats)
+
     def test_provenance_recorded(self):
         corpus = synth_generate(SynthConfig(n_users=20, n_items=30, n_cats=3, seed=12))
         assert corpus.provenance["kind"] == "synthetic"
         assert corpus.provenance["seed"] == "12"
+        assert corpus.provenance["split_seed"] == "0"
 
     def test_split_respects_fraction(self):
         assert TEST_FRACTION == 0.1
