@@ -224,17 +224,39 @@ def parse_corpus(path, split_seed: int = 0) -> Corpus:
     return _build_corpus(_file_rows(path), split_seed, {"kind": "file", "path": str(path)})
 
 
+def _joined(tokens: list, ids) -> str:
+    """The comma-joined tokens of a nonempty id sequence."""
+    try:
+        if min(ids) >= 0:  # a negative index would wrap silently
+            return ",".join(map(tokens.__getitem__, ids))
+    except IndexError:
+        pass
+    bad = next(i for i in ids if not 0 <= i < len(tokens))
+    raise VocabularyError(f"id {bad} outside vocabulary of size {len(tokens)}")
+
+
 def save_corpus(corpus: Corpus, path) -> None:
-    """Write instances back out in file order; inverse of parse_corpus."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write instances back out in file order; inverse of parse_corpus.
+
+    Tokens are read straight from the vocabularies' lists.  A history equal
+    to the previous instance's, as a pair's is, is joined once.
+    """
+    item_tokens, cat_tokens = corpus.item_vocab._tokens, corpus.cat_vocab._tokens
+
+    def lines():
+        history = None
         for inst in corpus.instances:
-            fh.write("\t".join([
-                str(inst.label),
-                corpus.item_vocab.token_of(inst.target_item),
-                corpus.cat_vocab.token_of(inst.target_cat),
-                ",".join(corpus.item_vocab.token_of(i) for i in inst.history_items),
-                ",".join(corpus.cat_vocab.token_of(c) for c in inst.history_cats),
-            ]) + "\n")
+            if (inst.history_items, inst.history_cats) != history:
+                history = inst.history_items, inst.history_cats
+                fields = _joined(item_tokens, history[0]) + "\t" + _joined(cat_tokens, history[1])
+            item, cat = inst.target_item, inst.target_cat
+            if not (0 <= item < len(item_tokens) and 0 <= cat < len(cat_tokens)):
+                _joined(item_tokens, (item,))
+                _joined(cat_tokens, (cat,))  # one of the two raises
+            yield f"{inst.label}\t{item_tokens[item]}\t{cat_tokens[cat]}\t{fields}\n"
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines())
 
 
 @dataclass

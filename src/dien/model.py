@@ -300,12 +300,25 @@ class DienModel:
             if held != claimed:
                 problem = "truncated" if held < claimed else "trailing bytes"
                 raise ParseError(f"{path}: {problem}: {held} array bytes, {claimed} listed")
-            model = cls.build(
-                field("variant", ModelVariant), field("item_vocab", int),
-                field("cat_vocab", int), field("embed_dim", int), field("hidden_size", int),
-                field("mlp_widths", lambda v: [int(w) for w in v])[1:-1],
-                field("alpha", _nonnegative_float), seed=0,
-            )
+            variant, embed_dim = field("variant", ModelVariant), field("embed_dim", int)
+            item_vocab, cat_vocab = field("item_vocab", int), field("cat_vocab", int)
+            hidden_size = field("hidden_size", int)
+            widths = field("mlp_widths", lambda v: [int(w) for w in v])
+            # every size build allocates from is a listed shape, which the
+            # byte count above bounds by the file's size
+            header_shapes = {"item_emb": (embed_dim, item_vocab),
+                             "cat_emb": (embed_dim, cat_vocab)}
+            if variant.recurrent:
+                header_shapes["extractor.w_update"] = (hidden_size, 2 * embed_dim)
+            for k in range(len(widths) - 1):
+                header_shapes[f"mlp.w{k}"] = (widths[k + 1], widths[k])
+            shapes = dict(listed)
+            for name, shape in header_shapes.items():
+                if shapes.get(name) != shape:
+                    raise ParseError(f"{path}: header dimensions give {name} shape {shape}, "
+                                     f"the arrays list gives {shapes.get(name, 'no shape')}")
+            model = cls.build(variant, item_vocab, cat_vocab, embed_dim, hidden_size,
+                              widths[1:-1], field("alpha", _nonnegative_float), seed=0)
             arrays = model.all_arrays()
             expected = [(name, arr.shape) for name, arr in arrays.items()]
             if listed != expected:
@@ -449,17 +462,31 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None, scores=None) -
     return ctx
 
 
-def _masked_accumulate(table: EmbeddingTable, ids, grads, keep) -> None:
-    sel = keep.astype(bool)
-    table.accumulate_grad_many(ids[sel], grads[sel])
+def _accumulate_embeddings(model: DienModel, sources: list) -> None:
+    """Hand each table a step's embedding gradients in one call.
+
+    `sources` holds (item ids, category ids, gradient rows with the item
+    half first, keep mask) in accumulation order; masked positions are
+    dropped.
+    """
+    item_ids, cat_ids, rows = [], [], []
+    for items, cats, grads, keep in sources:
+        sel = keep.astype(bool)
+        item_ids.append(items[sel])
+        cat_ids.append(cats[sel])
+        rows.append(grads[sel])
+    rows = np.concatenate(rows)
+    d = model.embed_dim
+    model.item_table.accumulate_grad_many(np.concatenate(item_ids), rows[:, :d])
+    model.cat_table.accumulate_grad_many(np.concatenate(cat_ids), rows[:, d:])
 
 
 def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
     """Gradients of the combined loss for the whole parameter set.
 
     Dense gradients come back keyed like param_arrays(); embedding gradients
-    accumulate into the tables' sparse buffers (zero them first).  Padding
-    ids receive nothing.
+    accumulate into the tables' summed rows (zero them first).  Padding ids
+    receive nothing.
     """
     batch: Batch = ctx["batch"]
     d = model.embed_dim
@@ -471,6 +498,7 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
 
     split = d_feats.shape[1] - 2 * d
     d_interest, d_targets = d_feats[:, :split], d_feats[:, split:].copy()
+    sources = []  # embedding gradients: masked negatives, behaviors, targets
 
     if model.variant is ModelVariant.BASE:
         d_behaviors = ctx["mask"][:, :, None] * d_interest[:, None, :]
@@ -510,9 +538,7 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
             pos_e = ctx["behaviors"][:, 1:]
             d_states1[:, :-1] += d_spos[:, :, None] * pos_e + d_sneg[:, :, None] * ctx["neg_e"]
             d_behaviors_extra = d_spos[:, :, None] * h
-            d_neg = d_sneg[:, :, None] * h
-            _masked_accumulate(model.item_table, ctx["neg_items"], d_neg[..., :d], m)
-            _masked_accumulate(model.cat_table, ctx["neg_cats"], d_neg[..., d:], m)
+            sources.append((ctx["neg_items"], ctx["neg_cats"], d_sneg[:, :, None] * h, m))
 
         extractor_grads, d_behaviors = gru_backward(model.extractor, ctx["cache1"], d_states1)
         if d_behaviors_extra is not None:
@@ -520,11 +546,9 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
         for name, arr in extractor_grads.items():
             grads[f"extractor.{name}"] = arr
 
-    keep = ctx["mask"]
-    _masked_accumulate(model.item_table, batch.item_ids, d_behaviors[..., :d], keep)
-    _masked_accumulate(model.cat_table, batch.cat_ids, d_behaviors[..., d:], keep)
-    model.item_table.accumulate_grad_many(batch.target_items, d_targets[:, :d])
-    model.cat_table.accumulate_grad_many(batch.target_cats, d_targets[:, d:])
+    sources += [(batch.item_ids, batch.cat_ids, d_behaviors, ctx["mask"]),
+                (batch.target_items, batch.target_cats, d_targets, np.ones(n_rows, dtype=bool))]
+    _accumulate_embeddings(model, sources)
     return grads
 
 

@@ -104,7 +104,8 @@ def adam_step(params: dict, grads: dict, state: dict, lr: float) -> dict:
 class Adam:
     """Adaptive updates for the dense parameters and lazy sparse updates for
     embedding tables: only ids that received gradient move, with moments
-    kept per id and bias correction from the shared step counter.
+    kept per id (one row each) and bias correction from the shared step
+    counter.
     """
 
     def __init__(self, params: dict, tables: list, lr: float):
@@ -112,19 +113,18 @@ class Adam:
         self.tables = list(tables)
         self.lr = lr
         self.state: dict = {}
-        self._table_m = [np.zeros_like(t.weights) for t in self.tables]
-        self._table_v = [np.zeros_like(t.weights) for t in self.tables]
+        self._table_m = [np.zeros((t.vocab_size, t.dim)) for t in self.tables]
+        self._table_v = [np.zeros((t.vocab_size, t.dim)) for t in self.tables]
 
     def step(self, grads: dict) -> None:
-        """Apply one update; consumes and clears the tables' gradient buffers."""
+        """Apply one update; consumes and clears the tables' gradient rows."""
         adam_step(self.params, grads, self.state, self.lr)
         for table, m, v in zip(self.tables, self._table_m, self._table_v):
-            ids = table.touched_ids()
+            ids, rows = table.grad_rows()
             if ids.size == 0:
                 continue
-            m[:, ids], v[:, ids], step = _adam_moves(
-                m[:, ids], v[:, ids], table.grad_columns()[:, ids], self.state["t"], self.lr)
-            table.weights[:, ids] -= step
+            m[ids], v[ids], step = _adam_moves(m[ids], v[ids], rows, self.state["t"], self.lr)
+            table.weights[:, ids] -= step.T
             table.zero_grad()
 
 
@@ -257,7 +257,7 @@ def grad_check(config: TrainConfig, tolerance: float = 1e-4,
         neg_cats = (neg_items - 1) % (n_cats - 1) + 1
         negatives = (neg_items, neg_cats)
 
-    # the fresh tables' gradient buffers start at zero; the probes only run forward
+    # the fresh tables hold no gradient rows; the probes only run forward
     analytic = model_backward(model, forward_batch(model, batch, negatives))
     analytic["item_emb"] = model.item_table.grad_columns()
     analytic["cat_emb"] = model.cat_table.grad_columns()

@@ -21,6 +21,8 @@ from dien.model import ModelVariant
 from dien.recurrent import AGRU, AIGRU, AUGRU, GruParams, evolve_forward, gru_forward
 from dien.training import TrainConfig, grad_check, train
 
+pytestmark = pytest.mark.acceptance
+
 ABLATION_VARIANTS = [ModelVariant.BASE, ModelVariant.TWO_LAYER_GRU_ATT,
                      ModelVariant.GRU_AUGRU, ModelVariant.DIEN]
 

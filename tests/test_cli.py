@@ -441,6 +441,13 @@ CORRUPT_CHECKPOINTS = {
     # 32 TB of item_emb: the byte count is checked before anything is allocated
     "huge shape": (_header_edit(lambda h: _listed(
         h, [["item_emb", [h["arrays"][0][1][0], 10**12]], *h["arrays"][1:]])), "truncated"),
+    # the header's sizes are checked against the listed shapes before the
+    # model is built from them (numpy refuses 10**12 columns at once)
+    "huge header vocabulary": (_header_edit(lambda h: {**h, "item_vocab": 10**12}),
+                               "header dimensions give item_emb shape"),
+    "huge header width": (_header_edit(lambda h: {**h, "mlp_widths": [
+        *h["mlp_widths"][:1], 10**12, *h["mlp_widths"][2:]]}),
+        "header dimensions give mlp.w0 shape"),
 }
 
 

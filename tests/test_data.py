@@ -1,5 +1,7 @@
 """Corpus parsing, the planted-interest generator, and split mechanics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,18 @@ class TestParseCorpus:
         reparsed = parse_corpus(f1)
         save_corpus(reparsed, f2)
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("field, value, bad", [
+        ("target_item", -1, -1), ("target_cat", 5, 5), ("history_items", (1, -2), -2),
+        ("history_cats", (4, 1), 4), ("history_items", (30, 1), 30),
+    ])
+    def test_save_rejects_ids_outside_the_vocabulary(self, tmp_path, field, value, bad):
+        # a negative id must not wrap round to the end of the token list
+        p = write_corpus(tmp_path, "1\tI1\tC1\tI2,I3\tC1,C2\n0\tI4\tC3\tI2,I3\tC1,C2\n")
+        corpus = parse_corpus(p)  # 5 item tokens and 4 category tokens, <pad> included
+        corpus.instances[1] = replace(corpus.instances[1], **{field: value})
+        with pytest.raises(VocabularyError, match=f"^id {bad} outside"):
+            save_corpus(corpus, tmp_path / "out.tsv")
 
     def test_split_deterministic_in_seed(self, tmp_path):
         corpus = synth_generate(SynthConfig(n_users=50, n_items=30, n_cats=4,

@@ -83,8 +83,41 @@ class TestGradAccumulation:
         a.accumulate_grad_many(ids, grads)
         for i, g in zip(ids, grads):
             b.accumulate_grad_many([i], g[None])
-        np.testing.assert_allclose(a.grad_columns(), b.grad_columns(), atol=1e-12)
+        np.testing.assert_array_equal(a.grad_columns(), b.grad_columns())
         np.testing.assert_array_equal(a.touched_ids(), b.touched_ids())
+
+    def test_calls_equal_a_scatter_add_reference(self):
+        # each id's rows sum in call order, the rows stored by earlier calls
+        # first, exactly as np.add.at into a zeroed dense buffer sums them
+        rng = np.random.default_rng(13)
+        t = make_table(vocab=7, dim=4)
+        dense = np.zeros((7, 4))
+        for n in (50, 1, 30, 80):
+            ids = rng.integers(0, 7, size=n)
+            grads = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+            t.accumulate_grad_many(ids, grads)
+            np.add.at(dense, ids, grads)
+            np.testing.assert_array_equal(t.grad_columns(), dense.T)
+        ids, rows = t.grad_rows()
+        np.testing.assert_array_equal(ids, np.flatnonzero(dense.any(axis=1)))
+        np.testing.assert_array_equal(rows, dense[ids])
+
+    def test_stored_rows_do_not_alias_the_inputs(self):
+        t = make_table()
+        ids, grads = np.array([1, 3]), np.arange(6.0).reshape(2, 3)
+        t.accumulate_grad_many(ids, grads)
+        ids[:], grads[:] = 2, -1.0
+        t.touched_ids()[:] = 5
+        np.testing.assert_array_equal(t.touched_ids(), [1, 3])
+        np.testing.assert_array_equal(t.grad_columns()[:, [1, 3]], np.arange(6.0).reshape(2, 3).T)
+
+    def test_grad_columns_is_dense_and_zero_elsewhere(self):
+        t = make_table(vocab=6, dim=3)
+        t.accumulate_grad_many([4, 1, 4], np.ones((3, 3)))
+        got = t.grad_columns()
+        assert got.shape == (3, 6)
+        np.testing.assert_array_equal(got[:, [1, 4]], [[1.0, 2.0]] * 3)
+        assert not np.any(np.delete(got, [1, 4], axis=1))
 
     def test_zero_grad_clears(self):
         t = make_table()

@@ -541,6 +541,30 @@ class TestBatchedEngineAgreement:
         assert 0 not in model.item_table.touched_ids()
         assert 0 not in model.cat_table.touched_ids()
 
+    def test_one_accumulate_call_per_table_in_order(self, monkeypatch):
+        # each id's rows sum in input order, so the order is part of the
+        # arithmetic: masked negatives, then masked behaviors, then targets
+        rng = np.random.default_rng(106)
+        model = build(ModelVariant.DIEN, seed=16)
+        batch = make_batch([rand_instance(rng, length=int(n)) for n in (5, 2, 1)])
+        neg_items = draw_negative_items(rng, N_ITEMS, batch.item_ids[:, 1:])
+        neg_cats = (neg_items - 1) % (N_CATS - 1) + 1
+        ctx = forward_batch(model, batch, negatives=(neg_items, neg_cats))
+        calls = []
+        monkeypatch.setattr(model.item_table, "accumulate_grad_many",
+                            lambda ids, grads: calls.append(("item", ids, grads.shape)))
+        monkeypatch.setattr(model.cat_table, "accumulate_grad_many",
+                            lambda ids, grads: calls.append(("cat", ids, grads.shape)))
+        model_backward(model, ctx)
+        keep, keep_next = ctx["mask"].astype(bool), ctx["mask_next"].astype(bool)
+        assert [name for name, *_ in calls] == ["item", "cat"]
+        for (_, ids, shape), negs, behaviors, targets in zip(
+                calls, (neg_items, neg_cats), (batch.item_ids, batch.cat_ids),
+                (batch.target_items, batch.target_cats)):
+            np.testing.assert_array_equal(
+                ids, np.concatenate([negs[keep_next], behaviors[keep], targets]))
+            assert shape == (ids.size, 3)
+
 
 class TestCheckpoint:
     @pytest.mark.parametrize("variant", [ModelVariant.BASE, ModelVariant.DIEN])

@@ -13,6 +13,7 @@ from dien.model import ModelVariant
 from dien.training import (
     Adam,
     CurveRecord,
+    _adam_moves,
     GradCheckReport,
     TrainConfig,
     adam_step,
@@ -130,6 +131,28 @@ class TestSparseAdam:
         # legitimately differs from a dense optimizer that decays moments on
         # every step; only the id that moved every step must agree
         np.testing.assert_array_equal(table.weights[:, 0], mirror["w"][:, 0])
+
+    def test_row_update_equals_column_reference(self):
+        # the old layout: moments shaped like the (dim, vocab) weights and a
+        # dense gradient read column by column
+        rng = np.random.default_rng(115)
+        table = EmbeddingTable(9, 3, rng=np.random.default_rng(116))
+        weights, m, v = table.weights.copy(), np.zeros((3, 9)), np.zeros((3, 9))
+        opt = Adam({}, [table], lr=0.03)
+        for t in range(1, 5):
+            ids = rng.integers(1, 9, size=12)
+            grads = rng.standard_normal((12, 3))
+            table.accumulate_grad_many(ids, grads)
+            dense = np.zeros((9, 3))
+            np.add.at(dense, ids, grads)
+            cols = np.unique(ids)
+            m[:, cols], v[:, cols], step = _adam_moves(
+                m[:, cols], v[:, cols], dense.T[:, cols], t, 0.03)
+            weights[:, cols] -= step
+            opt.step({})
+            np.testing.assert_array_equal(table.weights, weights)
+        np.testing.assert_array_equal(opt._table_m[0], m.T)
+        np.testing.assert_array_equal(opt._table_v[0], v.T)
 
     def test_consumes_gradient_buffers(self):
         table = EmbeddingTable(3, 2, rng=np.random.default_rng(114))
