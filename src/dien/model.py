@@ -339,7 +339,13 @@ class DienModel:
 
 @dataclass
 class Batch:
-    """Padded id arrays for a slice of instances."""
+    """Padded id arrays for a slice of instances.
+
+    `history_of` numbers each row's behavior history in order of first
+    appearance, and `first_rows` holds the first row of each distinct
+    history.  Left as None, as in a batch built by hand, they mean that no
+    history repeats.
+    """
 
     item_ids: np.ndarray  # (B, T) with PAD_ID fill
     cat_ids: np.ndarray
@@ -347,20 +353,37 @@ class Batch:
     target_items: np.ndarray
     target_cats: np.ndarray
     labels: np.ndarray  # (B,) float64
+    history_of: np.ndarray | None = None  # (B,) distinct-history index of each row
+    first_rows: np.ndarray | None = None  # (H,) first row of each distinct history
+
+    @property
+    def repeats(self) -> bool:
+        """Whether some history appears on more than one row."""
+        return self.first_rows is not None and self.first_rows.size < self.valid.size
 
 
 def make_batch(instances: list) -> Batch:
-    """Pad every history to the batch's longest one."""
+    """Number the distinct histories (a click/non-click pair shares one) and
+    pad every history to the batch's longest one."""
     if not instances:
         raise UsageError("empty instance list")
+    seen: dict = {}
+    history_of, first_rows = [], []
+    for row, inst in enumerate(instances):
+        k = seen.setdefault((inst.history_items, inst.history_cats), len(first_rows))
+        if k == len(first_rows):
+            first_rows.append(row)
+        history_of.append(k)
     lens = [len(inst.history_items) for inst in instances]
     width = max(lens)
-    n = len(instances)
-    item_ids = np.full((n, width), PAD_ID, dtype=np.int64)
-    cat_ids = np.full((n, width), PAD_ID, dtype=np.int64)
-    for row, inst in enumerate(instances):
-        item_ids[row, :lens[row]] = inst.history_items
-        cat_ids[row, :lens[row]] = inst.history_cats
+    item_ids = np.full((len(first_rows), width), PAD_ID, dtype=np.int64)
+    cat_ids = np.full((len(first_rows), width), PAD_ID, dtype=np.int64)
+    for k, row in enumerate(first_rows):
+        item_ids[k, :lens[row]] = instances[row].history_items
+        cat_ids[k, :lens[row]] = instances[row].history_cats
+    history_of = np.asarray(history_of, dtype=np.int64)
+    if len(first_rows) < len(instances):
+        item_ids, cat_ids = item_ids[history_of], cat_ids[history_of]
     return Batch(
         item_ids=item_ids,
         cat_ids=cat_ids,
@@ -368,7 +391,42 @@ def make_batch(instances: list) -> Batch:
         target_items=np.asarray([inst.target_item for inst in instances], dtype=np.int64),
         target_cats=np.asarray([inst.target_cat for inst in instances], dtype=np.int64),
         labels=np.asarray([inst.label for inst in instances], dtype=np.float64),
+        history_of=history_of,
+        first_rows=np.asarray(first_rows, dtype=np.int64),
     )
+
+
+def _by_history(batch: Batch, arr: np.ndarray) -> np.ndarray:
+    """The rows of a per-row array that head each distinct history."""
+    return arr[batch.first_rows] if batch.repeats else arr
+
+
+def _by_row(batch: Batch, arr: np.ndarray) -> np.ndarray:
+    """A per-history array gathered back to one row per instance."""
+    return arr[batch.history_of] if batch.repeats else arr
+
+
+def _on_first_rows(batch: Batch, arr: np.ndarray) -> np.ndarray:
+    """A per-history array placed on each history's first row, zero on the
+    other rows: the adjoint of _by_history."""
+    if not batch.repeats:
+        return arr
+    out = np.zeros((batch.valid.size,) + arr.shape[1:])
+    out[batch.first_rows] = arr
+    return out
+
+
+def _sum_by_history(batch: Batch, grads: np.ndarray) -> np.ndarray:
+    """Per-row gradients summed per distinct history, each in row order:
+    the adjoint of _by_row."""
+    if not batch.repeats:
+        return grads
+    out = grads[batch.first_rows]
+    later = np.ones(batch.valid.size, dtype=bool)
+    later[batch.first_rows] = False
+    # np.add.at adds repeated indices one after another, in row order
+    np.add.at(out, batch.history_of[later], grads[later])
+    return out
 
 
 def draw_negative_items(rng: np.random.Generator, vocab_size: int,
@@ -395,11 +453,18 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None, scores=None) -
     target-free probe); such a context is forward-only.  Returns the context
     dict consumed by model_backward, with losses under "l_target"/"l_aux"
     and probabilities under "probs".
+
+    Nothing before the attention sees the target, so the behavior lookup,
+    the sum-pooling and the target-free recurrences (the interest
+    extractor, and the two-layer baseline's second recurrence) run once per
+    distinct history; "behaviors" holds one row per distinct history, and
+    the pooled vector and the states are gathered back per row.  The
+    attention, the evolution cell, the head and both losses stay per row.
     """
     if scores is not None and not model.variant.recurrent:
         raise UsageError("the sum-pooling variant has no attention scores to replace")
-    items_e = model.item_table.lookup_many(batch.item_ids)
-    cats_e = model.cat_table.lookup_many(batch.cat_ids)
+    items_e = model.item_table.lookup_many(_by_history(batch, batch.item_ids))
+    cats_e = model.cat_table.lookup_many(_by_history(batch, batch.cat_ids))
     behaviors = np.concatenate([items_e, cats_e], axis=2)
     targets = np.concatenate([
         model.item_table.lookup_many(batch.target_items),
@@ -411,14 +476,18 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None, scores=None) -
                  "mask": mask, "variant": model.variant}
 
     if model.variant is ModelVariant.BASE:
-        feats = np.concatenate([(behaviors * mask[:, :, None]).sum(axis=1), targets], axis=1)
+        pooled = (behaviors * _by_history(batch, mask)[:, :, None]).sum(axis=1)
+        feats = np.concatenate([_by_row(batch, pooled), targets], axis=1)
     else:
-        states1, cache1 = gru_forward(model.extractor, behaviors, batch.valid)
-        ctx["states1"], ctx["cache1"] = states1, cache1
+        lens = _by_history(batch, batch.valid)
+        states1, cache1 = gru_forward(model.extractor, behaviors, lens)
         two_layer = model.variant is ModelVariant.TWO_LAYER_GRU_ATT
         if two_layer:
-            states2, cache2 = gru_forward(model.evolver, states1, batch.valid)
+            states2, cache2 = gru_forward(model.evolver, states1, lens)
+            states2 = _by_row(batch, states2)
             ctx.update(states2=states2, cache2=cache2)
+        states1 = _by_row(batch, states1)
+        ctx["states1"], ctx["cache1"] = states1, cache1
         acache = None
         if scores is None:
             scores, acache = attention_forward(states2 if two_layer else states1, targets,
@@ -449,7 +518,7 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None, scores=None) -
             model.cat_table.lookup_many(neg_cats),
         ], axis=2)
         h = ctx["states1"][:, :-1]
-        pos_e = behaviors[:, 1:]
+        pos_e = _by_row(batch, behaviors)[:, 1:]
         mask_next = step_masks(np.maximum(batch.valid - 1, 0), n_rows, width - 1)
         s_pos = np.einsum("btn,btn->bt", h, pos_e)
         s_neg = np.einsum("btn,btn->bt", h, neg_e)
@@ -457,7 +526,7 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None, scores=None) -
         ctx.update(
             l_aux=-float((per_step * mask_next).sum() / n_rows),
             aux_active=True, neg_items=neg_items, neg_cats=neg_cats,
-            neg_e=neg_e, s_pos=s_pos, s_neg=s_neg, mask_next=mask_next,
+            neg_e=neg_e, pos_e=pos_e, s_pos=s_pos, s_neg=s_neg, mask_next=mask_next,
         )
     return ctx
 
@@ -486,7 +555,9 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
 
     Dense gradients come back keyed like param_arrays(); embedding gradients
     accumulate into the tables' summed rows (zero them first).  Padding ids
-    receive nothing.
+    receive nothing.  The target-free recurrences ran once per distinct
+    history, so their state gradients are summed per history first; the
+    embedding gradient of a history's behaviors goes to its first row.
     """
     batch: Batch = ctx["batch"]
     d = model.embed_dim
@@ -511,8 +582,9 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
                 model.attention, ctx["acache"], d_scores
             )
             evolver_grads, d_states1 = gru_backward(
-                model.evolver, ctx["cache2"], d_states2 + d_states2_att
+                model.evolver, ctx["cache2"], _sum_by_history(batch, d_states2 + d_states2_att)
             )
+            d_states1 = _on_first_rows(batch, d_states1)
         else:
             d_evolved = np.zeros_like(ctx["evolved"])
             d_evolved[:, -1] = d_interest
@@ -530,17 +602,21 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
 
         d_behaviors_extra = None
         if ctx["aux_active"]:
+            # per row, normalised by rows like the click loss: a history
+            # shared by two rows is scored against both rows' impostors
             scale = -model.alpha / n_rows
             m = ctx["mask_next"]
             d_spos = scale * sigmoid(-ctx["s_pos"]) * m
             d_sneg = -scale * sigmoid(ctx["s_neg"]) * m
             h = ctx["states1"][:, :-1]
-            pos_e = ctx["behaviors"][:, 1:]
-            d_states1[:, :-1] += d_spos[:, :, None] * pos_e + d_sneg[:, :, None] * ctx["neg_e"]
+            d_states1[:, :-1] += (d_spos[:, :, None] * ctx["pos_e"]
+                                  + d_sneg[:, :, None] * ctx["neg_e"])
             d_behaviors_extra = d_spos[:, :, None] * h
             sources.append((ctx["neg_items"], ctx["neg_cats"], d_sneg[:, :, None] * h, m))
 
-        extractor_grads, d_behaviors = gru_backward(model.extractor, ctx["cache1"], d_states1)
+        extractor_grads, d_behaviors = gru_backward(
+            model.extractor, ctx["cache1"], _sum_by_history(batch, d_states1))
+        d_behaviors = _on_first_rows(batch, d_behaviors)
         if d_behaviors_extra is not None:
             d_behaviors[:, 1:] += d_behaviors_extra
         for name, arr in extractor_grads.items():

@@ -70,12 +70,32 @@ class CurveRecord:
     l_total: float
 
 
-def _adam_moves(m, v, g, t: int, lr: float):
-    """The one bias-corrected adaptive rule: (new m, new v, parameter step)."""
-    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-    step = lr * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
-    return m, v, step
+def _adam_moves(m, v, g, t: int, lr: float, step, scratch) -> None:
+    """The one bias-corrected adaptive rule, written through `out=`.
+
+    Updates the moments `m` and `v` in place and writes the parameter step
+    into `step`; `scratch` is a work array of the same shape.  The
+    operations are those of
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        step = lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+
+    in the same order, so the results are bitwise those of that expression.
+    """
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
+    np.add(m, scratch, out=m)
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
+    np.multiply(scratch, g, out=scratch)
+    np.add(v, scratch, out=v)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
+    np.multiply(step, lr, out=step)
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    np.add(scratch, ADAM_EPS, out=scratch)
+    np.divide(step, scratch, out=step)
 
 
 def adam_step(params: dict, grads: dict, state: dict, lr: float) -> dict:
@@ -95,8 +115,8 @@ def adam_step(params: dict, grads: dict, state: dict, lr: float) -> dict:
             raise ShapeError(
                 f"gradient for {name!r} has shape {g.shape}, parameter {p.shape}"
             )
-        state["m"][name], state["v"][name], step = _adam_moves(
-            state["m"][name], state["v"][name], g, state["t"], lr)
+        step, scratch = np.empty_like(p), np.empty_like(p)
+        _adam_moves(state["m"][name], state["v"][name], g, state["t"], lr, step, scratch)
         p -= step
     return state
 
@@ -105,7 +125,8 @@ class Adam:
     """Adaptive updates for the dense parameters and lazy sparse updates for
     embedding tables: only ids that received gradient move, with moments
     kept per id (one row each) and bias correction from the shared step
-    counter.
+    counter.  A table's touched rows are updated in one workspace block per
+    step: gathered m, gathered v, the step and a scratch array.
     """
 
     def __init__(self, params: dict, tables: list, lr: float):
@@ -123,7 +144,13 @@ class Adam:
             ids, rows = table.grad_rows()
             if ids.size == 0:
                 continue
-            m[ids], v[ids], step = _adam_moves(m[ids], v[ids], rows, self.state["t"], self.lr)
+            m_ids, v_ids, step, scratch = np.empty((4, ids.size, table.dim))
+            # the ids come from the table's own checked accumulate; "clip"
+            # lets take write straight into `out` without a buffer
+            np.take(m, ids, axis=0, out=m_ids, mode="clip")
+            np.take(v, ids, axis=0, out=v_ids, mode="clip")
+            _adam_moves(m_ids, v_ids, rows, self.state["t"], self.lr, step, scratch)
+            m[ids], v[ids] = m_ids, v_ids
             table.weights[:, ids] -= step.T
             table.zero_grad()
 
@@ -188,6 +215,7 @@ def write_curves(path, curves: list) -> None:
 
 GRAD_CHECK_PARAM_LIMIT = 6000
 TOY_LENGTHS = (5, 4, 2, 5, 1, 3)  # history lengths of the gradient-check batch
+TOY_REPEAT = 3  # this row takes row 0's history, as the second row of a pair does
 
 
 @dataclass
@@ -214,11 +242,14 @@ class GradCheckReport:
 
 
 def _toy_instances(rng: np.random.Generator, n_items: int, n_cats: int):
-    """A handful of mixed-length instances exercising the padding paths."""
+    """A handful of mixed-length instances exercising the padding paths and
+    the sum over rows that share a history."""
     out = []
     for k, ln in enumerate(TOY_LENGTHS):
         items = tuple(int(rng.integers(1, n_items)) for _ in range(ln))
         cats = tuple(int(rng.integers(1, n_cats)) for _ in range(ln))
+        if k == TOY_REPEAT:  # drawn all the same, so later draws stay put
+            items, cats = out[0].history_items, out[0].history_cats
         out.append(Instance(items, cats, int(rng.integers(1, n_items)),
                             int(rng.integers(1, n_cats)), k % 2))
     return out

@@ -1,6 +1,8 @@
 """Model assembly: the variants, the losses, the batched engine against an
 independent per-row loop, and the checkpoint format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,13 @@ N_CATS = 6
 def build(variant, embed_dim=3, alpha=1.0, seed=0, mlp_hidden=(5,)):
     return DienModel.build(variant, N_ITEMS, N_CATS, embed_dim, 2 * embed_dim,
                            mlp_hidden, alpha, seed)
+
+
+def with_target(rng, inst):
+    """Another row over `inst`'s history, with a newly drawn target and label."""
+    other = rand_instance(rng, length=1)
+    return Instance(inst.history_items, inst.history_cats, other.target_item,
+                    other.target_cat, other.label)
 
 
 def rand_instance(rng, length=None, label=None):
@@ -436,6 +445,26 @@ class TestBatching:
         with pytest.raises(UsageError):
             make_batch([])
 
+    def test_make_batch_numbers_distinct_histories(self):
+        rng = np.random.default_rng(98)
+        insts = [rand_instance(rng, length=n) for n in (3, 1, 3, 2)]
+        batch = make_batch(insts)
+        np.testing.assert_array_equal(batch.first_rows, np.arange(4))
+        np.testing.assert_array_equal(batch.history_of, np.arange(4))
+        assert not batch.repeats
+        # a pair, then a row repeating the first history further on
+        batch = make_batch([insts[0], with_target(rng, insts[0]), insts[1],
+                            with_target(rng, insts[0])])
+        np.testing.assert_array_equal(batch.history_of, [0, 0, 1, 0])
+        np.testing.assert_array_equal(batch.first_rows, [0, 2])
+        np.testing.assert_array_equal(batch.item_ids[3], batch.item_ids[0])
+        np.testing.assert_array_equal(batch.valid, [3, 3, 1, 3])
+        # the same items in other categories are another history
+        recat = Instance(insts[0].history_items, tuple(c % (N_CATS - 1) + 1
+                                                       for c in insts[0].history_cats),
+                         1, 1, 0)
+        np.testing.assert_array_equal(make_batch([insts[0], recat]).first_rows, [0, 1])
+
     def test_negative_draws_avoid_exclusions(self):
         rng = np.random.default_rng(99)
         excluded = rng.integers(1, N_ITEMS, size=(64, 9))
@@ -464,7 +493,12 @@ class TestBatchedEngineAgreement:
     nothing with it but the parameters."""
 
     def batch_rows(self, rng):
-        return [rand_instance(rng, length=n) for n in (3, 1, 5, 2, 4, 5, 1, 2)]
+        rows = [rand_instance(rng, length=n) for n in (3, 1, 5, 2, 4, 5, 1, 2)]
+        # rows over an earlier row's history with another target: one right
+        # after it, as in a corpus pair, and one far from it
+        rows.insert(3, with_target(rng, rows[2]))
+        rows.append(with_target(rng, rows[0]))
+        return rows
 
     @pytest.mark.parametrize("variant", list(ModelVariant))
     def test_probabilities_match(self, variant):
@@ -488,13 +522,61 @@ class TestBatchedEngineAgreement:
     def test_aux_loss_matches_standalone(self):
         rng = np.random.default_rng(103)
         model = build(ModelVariant.DIEN, seed=13)
-        insts = [rand_instance(rng, length=int(n)) for n in (5, 3, 1, 4)]
+        insts = self.batch_rows(rng)
         batch = make_batch(insts)
+        assert batch.repeats
         neg_items = draw_negative_items(rng, N_ITEMS, batch.item_ids[:, 1:])
         neg_cats = (neg_items - 1) % (N_CATS - 1) + 1
         ctx = forward_batch(model, batch, negatives=(neg_items, neg_cats))
         expect = oracle_aux(model, insts, neg_items, neg_cats)
         assert ctx["l_aux"] == pytest.approx(expect, abs=1e-10)
+
+    @pytest.mark.parametrize("variant", [v for v in ModelVariant if v.recurrent])
+    def test_repeated_histories_share_extractor_states(self, variant):
+        rng = np.random.default_rng(107)
+        model = build(variant, seed=17)
+        batch = make_batch(self.batch_rows(rng))
+        ctx = forward_batch(model, batch)
+        assert ctx["cache1"]["inputs"].shape[0] == batch.first_rows.size == 8
+        np.testing.assert_array_equal(ctx["states1"][3], ctx["states1"][2])
+        np.testing.assert_array_equal(ctx["states1"][-1], ctx["states1"][0])
+
+    def test_hand_built_batch_runs_every_row(self):
+        # a Batch without history numbering treats every row as its own
+        rng = np.random.default_rng(108)
+        model = build(ModelVariant.DIEN, seed=18)
+        insts = self.batch_rows(rng)
+        numbered = make_batch(insts)
+        plain = Batch(item_ids=numbered.item_ids, cat_ids=numbered.cat_ids,
+                      valid=numbered.valid, target_items=numbered.target_items,
+                      target_cats=numbered.target_cats, labels=numbered.labels)
+        assert not plain.repeats
+        ctx = forward_batch(model, plain)
+        assert ctx["cache1"]["inputs"].shape[0] == len(insts)
+        np.testing.assert_allclose(ctx["probs"], forward_batch(model, numbered)["probs"],
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_summed_backward_matches_rows_apart(self, variant):
+        # summing per history, then one extractor backward, is the same
+        # derivative as one extractor backward per row
+        rng = np.random.default_rng(109)
+        model = build(variant, seed=19)
+        numbered = make_batch(self.batch_rows(rng))
+        plain = dataclasses.replace(numbered, history_of=None, first_rows=None)
+        neg_items = draw_negative_items(rng, N_ITEMS, numbered.item_ids[:, 1:])
+        negatives = (neg_items, (neg_items - 1) % (N_CATS - 1) + 1)
+        grads, tables = [], []
+        for batch in (numbered, plain):
+            model.item_table.zero_grad()
+            model.cat_table.zero_grad()
+            grads.append(model_backward(model, forward_batch(model, batch, negatives)))
+            tables.append([model.item_table.grad_columns(), model.cat_table.grad_columns()])
+        assert grads[0].keys() == grads[1].keys()
+        for name in grads[0]:
+            np.testing.assert_allclose(grads[0][name], grads[1][name], rtol=1e-12, atol=1e-15)
+        for a, b in zip(*tables):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("variant", [v for v in ModelVariant if v.recurrent])
     def test_scores_override_matches(self, variant):

@@ -11,6 +11,9 @@ from dien.embedding import EmbeddingTable
 from dien.errors import ConfigError, ShapeError, UsageError
 from dien.model import ModelVariant
 from dien.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Adam,
     CurveRecord,
     _adam_moves,
@@ -58,7 +61,28 @@ class TestTrainConfig:
         TrainConfig(epochs=0).validate()
 
 
+def expression_moves(m, v, g, t, lr):
+    """The adaptive rule as plain expressions: (new m, new v, step)."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+    step = lr * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+    return m, v, step
+
+
 class TestAdamStep:
+    def test_moves_match_the_expression_form_bitwise(self):
+        rng = np.random.default_rng(117)
+        m, v = np.zeros((300, 16)), np.zeros((300, 16))
+        want_m, want_v = m.copy(), v.copy()
+        step, scratch = np.empty_like(m), np.empty_like(m)
+        for t in range(1, 6):
+            g = rng.standard_normal((300, 16)) * 10.0 ** rng.integers(-6, 2, size=(300, 1))
+            want_m, want_v, want_step = expression_moves(want_m, want_v, g, t, 8e-4)
+            _adam_moves(m, v, g, t, 8e-4, step, scratch)
+            np.testing.assert_array_equal(m, want_m)
+            np.testing.assert_array_equal(v, want_v)
+            np.testing.assert_array_equal(step, want_step)
+
     def test_first_step_magnitude(self):
         # bias correction makes the very first update lr * g/|g| up to eps
         params = {"p": np.array([1.0])}
@@ -146,7 +170,7 @@ class TestSparseAdam:
             dense = np.zeros((9, 3))
             np.add.at(dense, ids, grads)
             cols = np.unique(ids)
-            m[:, cols], v[:, cols], step = _adam_moves(
+            m[:, cols], v[:, cols], step = expression_moves(
                 m[:, cols], v[:, cols], dense.T[:, cols], t, 0.03)
             weights[:, cols] -= step
             opt.step({})
