@@ -26,7 +26,6 @@ from pathlib import Path
 from .data import SynthConfig, parse_corpus, save_corpus, synth_generate
 from .errors import ConfigError, DienError
 from .evaluation import (
-    build_viz_probes,
     evaluate,
     export_viz,
     run_ablation,
@@ -258,11 +257,11 @@ def cmd_gradcheck(values: dict) -> int:
 def cmd_viz(values: dict) -> int:
     model = DienModel.load(values["checkpoint"])
     # the probes read only the vocabularies and item categories, not the split
-    probes, labels = build_viz_probes(parse_corpus(values["corpus"]), steps=values["steps"])
+    corpus = parse_corpus(values["corpus"])
     out = _out_dir(values)
     _write_echo(out, "viz", values)
-    bundle = export_viz(model, probes, labels, out / "viz_trajectories.csv",
-                        out / "viz_attention.csv")
+    bundle = export_viz(model, corpus, out / "viz_trajectories.csv",
+                        out / "viz_attention.csv", steps=values["steps"])
     log.info("wrote %d trajectories over %d steps to %s", len(bundle.labels),
              values["steps"], out)
     return 0

@@ -18,6 +18,7 @@ import numpy as np
 from .data import Corpus, Instance, truncate_history
 from .errors import ConfigError, DegenerateError, NumericError, ShapeError, UsageError
 from .model import DienModel, ModelVariant, forward_batch, make_batch
+from .recurrent import evolve_forward
 from .training import TrainConfig, train
 
 EVAL_CHUNK = 512
@@ -87,6 +88,8 @@ def model_scores(model: DienModel, instances: list) -> np.ndarray:
 
 def evaluate(model: DienModel, instances: list, max_history: int = 50) -> EvalReport:
     """Score one model over instances and wrap the single-run report."""
+    if not instances:
+        raise DegenerateError("no instances to score")
     instances = [truncate_history(inst, max_history) for inst in instances]
     scores = model_scores(model, instances)
     labels = np.asarray([inst.label for inst in instances])
@@ -101,7 +104,7 @@ def repeat_eval(corpus: Corpus, config: TrainConfig, n_repeats: int = 5) -> Eval
         raise ConfigError(f"n_repeats must be at least 1, got {n_repeats}")
     test = [truncate_history(inst, config.max_history) for inst in corpus.test()]
     if not test:
-        raise UsageError("corpus has no test instances")
+        raise DegenerateError("corpus has no test instances")
     labels = np.asarray([inst.label for inst in test])
     per_seed = []
     for k in range(n_repeats):
@@ -177,6 +180,8 @@ def build_viz_probes(corpus: Corpus, steps: int = 10):
     behavior; the first probe target continues that final category, the
     second comes from an unrelated one.  Returns (instances, probe labels).
     """
+    if steps < 1:
+        raise ConfigError(f"steps must be at least 1, got {steps}")
     lead_cat, last_cat = PLANT_CATS
     related_cat, unrelated_cat = PROBE_CATS
     needed = {lead_cat, last_cat, related_cat, unrelated_cat}
@@ -212,45 +217,35 @@ def build_viz_probes(corpus: Corpus, steps: int = 10):
     return probes, labels
 
 
-def export_viz(model: DienModel, probes: list, labels: list,
-               traj_path, attn_path) -> VizBundle:
-    """Trajectories and attention rows for probe targets over one history.
+def export_viz(model: DienModel, corpus: Corpus, traj_path, attn_path,
+               steps: int = 10) -> VizBundle:
+    """Trajectories and attention rows for the probes of build_viz_probes.
 
-    All probes must share the history; a target-free run with uniform
-    relevance scores is added automatically.  The projection is fitted on
-    the union of all evolved states so the curves share one plane.
+    One forward pass runs both probe targets over their shared history; the
+    target-free run feeds that history's extractor states through the
+    evolution layer under uniform relevance scores.  The projection is
+    fitted on the union of all evolved states so the curves share one plane.
     """
-    if model.variant.evolution_cell is None:
+    cell = model.variant.evolution_cell
+    if cell is None:
         raise ConfigError(
             f"variant {model.variant.value} has no evolution layer to visualize"
         )
-    if not probes:
-        raise UsageError("no probe instances")
-    if len(labels) != len(probes):
-        raise ShapeError(f"{len(probes)} probes vs {len(labels)} labels")
-    if VizBundle.NONE_LABEL in labels:
-        raise ConfigError(f"probe label {VizBundle.NONE_LABEL!r} is reserved")
-    history = (probes[0].history_items, probes[0].history_cats)
-    if any((p.history_items, p.history_cats) != history for p in probes[1:]):
-        raise UsageError("probe instances must share one history")
-    if len({p.target_item for p in probes}) != len(probes):
-        raise ConfigError("probe targets must be distinct")
-
-    valid = len(probes[0].history_items)
+    probes, labels = build_viz_probes(corpus, steps)
     ctx = forward_batch(model, make_batch(probes))
     attention = dict(zip(labels, ctx["scores"]))
     states = dict(zip(labels, ctx["evolved"]))
-    uniform = np.full((1, valid), 1.0 / valid)
-    ctx = forward_batch(model, make_batch(probes[:1]), scores=uniform)
+    uniform = np.full((1, steps), 1.0 / steps)
+    evolved, _ = evolve_forward(model.evolver, ctx["states1"][:1], uniform, [steps], cell)
     attention[VizBundle.NONE_LABEL] = uniform[0]
-    states[VizBundle.NONE_LABEL] = ctx["evolved"][0]
+    states[VizBundle.NONE_LABEL] = evolved[0]
 
     all_labels = labels + [VizBundle.NONE_LABEL]
     union = np.vstack([states[l] for l in all_labels])
     _, projected = pca_project(union, out_dim=2)
     trajectories = {}
     for k, label in enumerate(all_labels):
-        trajectories[label] = projected[k * valid:(k + 1) * valid]
+        trajectories[label] = projected[k * steps:(k + 1) * steps]
 
     with open(traj_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("probe,step,x,y\n")

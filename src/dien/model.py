@@ -169,6 +169,14 @@ def mlp_backward(mlp: MlpParams, cache, d_logits):
     return grads, d
 
 
+def _size(value) -> int:
+    """A checkpoint header size, which must be a nonnegative JSON integer:
+    no float, however whole, and no boolean."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{value!r} is not a nonnegative integer")
+    return value
+
+
 def _nonnegative_float(value) -> float:
     """A checkpoint header number that must be finite and nonnegative."""
     number = float(value)
@@ -294,16 +302,16 @@ class DienModel:
                     raise ParseError(f"{path}: bad checkpoint header field {name!r}") from None
 
             # the listed arrays must account for every byte before any is read
-            listed = field("arrays", lambda v: [(str(n), tuple(int(k) for k in s)) for n, s in v])
+            listed = field("arrays", lambda v: [(str(n), tuple(map(_size, s))) for n, s in v])
             claimed = 8 * sum(math.prod(shape) for _, shape in listed)
             held = os.fstat(fh.fileno()).st_size - fh.tell()
             if held != claimed:
                 problem = "truncated" if held < claimed else "trailing bytes"
                 raise ParseError(f"{path}: {problem}: {held} array bytes, {claimed} listed")
-            variant, embed_dim = field("variant", ModelVariant), field("embed_dim", int)
-            item_vocab, cat_vocab = field("item_vocab", int), field("cat_vocab", int)
-            hidden_size = field("hidden_size", int)
-            widths = field("mlp_widths", lambda v: [int(w) for w in v])
+            variant, embed_dim = field("variant", ModelVariant), field("embed_dim", _size)
+            item_vocab, cat_vocab = field("item_vocab", _size), field("cat_vocab", _size)
+            hidden_size = field("hidden_size", _size)
+            widths = field("mlp_widths", lambda v: list(map(_size, v)))
             # every size build allocates from is a listed shape, which the
             # byte count above bounds by the file's size
             header_shapes = {"item_emb": (embed_dim, item_vocab),
@@ -343,8 +351,7 @@ class Batch:
 
     `history_of` numbers each row's behavior history in order of first
     appearance, and `first_rows` holds the first row of each distinct
-    history.  Left as None, as in a batch built by hand, they mean that no
-    history repeats.
+    history; `np.arange(B)` for both runs every row as its own history.
     """
 
     item_ids: np.ndarray  # (B, T) with PAD_ID fill
@@ -353,13 +360,13 @@ class Batch:
     target_items: np.ndarray
     target_cats: np.ndarray
     labels: np.ndarray  # (B,) float64
-    history_of: np.ndarray | None = None  # (B,) distinct-history index of each row
-    first_rows: np.ndarray | None = None  # (H,) first row of each distinct history
+    history_of: np.ndarray  # (B,) distinct-history index of each row
+    first_rows: np.ndarray  # (H,) first row of each distinct history
 
     @property
     def repeats(self) -> bool:
         """Whether some history appears on more than one row."""
-        return self.first_rows is not None and self.first_rows.size < self.valid.size
+        return self.first_rows.size < self.valid.size
 
 
 def make_batch(instances: list) -> Batch:
@@ -444,13 +451,11 @@ def draw_negative_items(rng: np.random.Generator, vocab_size: int,
     return 1 + draws + (draws >= np.maximum(excluded, 1) - 1)
 
 
-def forward_batch(model: DienModel, batch: Batch, negatives=None, scores=None) -> dict:
+def forward_batch(model: DienModel, batch: Batch, negatives=None) -> dict:
     """Run the variant end to end over a batch.
 
     `negatives` is an (item ids, category ids) pair shaped (B, T-1) for the
-    next-behavior loss; pass None to skip that loss.  `scores`, a (B, T)
-    array, replaces the attention weights with caller-chosen ones (the
-    target-free probe); such a context is forward-only.  Returns the context
+    next-behavior loss; pass None to skip that loss.  Returns the context
     dict consumed by model_backward, with losses under "l_target"/"l_aux"
     and probabilities under "probs".
 
@@ -461,8 +466,6 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None, scores=None) -
     the pooled vector and the states are gathered back per row.  The
     attention, the evolution cell, the head and both losses stay per row.
     """
-    if scores is not None and not model.variant.recurrent:
-        raise UsageError("the sum-pooling variant has no attention scores to replace")
     items_e = model.item_table.lookup_many(_by_history(batch, batch.item_ids))
     cats_e = model.cat_table.lookup_many(_by_history(batch, batch.cat_ids))
     behaviors = np.concatenate([items_e, cats_e], axis=2)
@@ -488,11 +491,8 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None, scores=None) -
             ctx.update(states2=states2, cache2=cache2)
         states1 = _by_row(batch, states1)
         ctx["states1"], ctx["cache1"] = states1, cache1
-        acache = None
-        if scores is None:
-            scores, acache = attention_forward(states2 if two_layer else states1, targets,
-                                               model.attention, batch.valid)
-        scores = np.asarray(scores, dtype=np.float64)
+        scores, acache = attention_forward(states2 if two_layer else states1, targets,
+                                           model.attention, batch.valid)
         ctx.update(scores=scores, acache=acache)
         if two_layer:
             interest = (scores[:, :, None] * states2).sum(axis=1)
@@ -519,7 +519,7 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None, scores=None) -
         ], axis=2)
         h = ctx["states1"][:, :-1]
         pos_e = _by_row(batch, behaviors)[:, 1:]
-        mask_next = step_masks(np.maximum(batch.valid - 1, 0), n_rows, width - 1)
+        mask_next = mask[:, 1:]
         s_pos = np.einsum("btn,btn->bt", h, pos_e)
         s_neg = np.einsum("btn,btn->bt", h, neg_e)
         per_step = log_sigmoid(s_pos) + log_sigmoid(-s_neg)
@@ -538,16 +538,17 @@ def _accumulate_embeddings(model: DienModel, sources: list) -> None:
     half first, keep mask) in accumulation order; masked positions are
     dropped.
     """
-    item_ids, cat_ids, rows = [], [], []
+    d = model.embed_dim
+    item_ids, cat_ids, item_rows, cat_rows = [], [], [], []
     for items, cats, grads, keep in sources:
         sel = keep.astype(bool)
         item_ids.append(items[sel])
         cat_ids.append(cats[sel])
-        rows.append(grads[sel])
-    rows = np.concatenate(rows)
-    d = model.embed_dim
-    model.item_table.accumulate_grad_many(np.concatenate(item_ids), rows[:, :d])
-    model.cat_table.accumulate_grad_many(np.concatenate(cat_ids), rows[:, d:])
+        # each table gets contiguous rows of its own half
+        item_rows.append(grads[sel, :d])
+        cat_rows.append(grads[sel, d:])
+    model.item_table.accumulate_grad_many(np.concatenate(item_ids), np.concatenate(item_rows))
+    model.cat_table.accumulate_grad_many(np.concatenate(cat_ids), np.concatenate(cat_rows))
 
 
 def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:

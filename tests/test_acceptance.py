@@ -198,13 +198,13 @@ def test_next_behavior_supervision_lifts_auc(ablation_by_corpus):
 
 def test_probe_attention_and_trajectory_separation(default_corpus, dien_runs,
                                                    tmp_path_factory):
-    probes, labels = build_viz_probes(default_corpus)
+    _, labels = build_viz_probes(default_corpus)
     related, unrelated = labels
     good = 0
     details = []
     for seed, (model, _) in enumerate(dien_runs):
         out = tmp_path_factory.mktemp(f"viz{seed}")
-        bundle = export_viz(model, probes, labels, out / "traj.csv", out / "attn.csv")
+        bundle = export_viz(model, default_corpus, out / "traj.csv", out / "attn.csv")
         attn = bundle.attention[related]
         peak_last = int(np.argmax(attn)) == attn.size - 1
         none = bundle.trajectories["none"]

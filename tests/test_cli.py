@@ -179,6 +179,27 @@ class TestEval:
         assert name == "dien" and seed == "0"
         assert 0.0 <= float(value) <= 1.0
 
+    @pytest.mark.parametrize("command, expect", [
+        ("eval", "no instances to score"), ("ablation", "corpus has no test instances"),
+    ])
+    def test_empty_test_split_is_bad_input(self, command, expect, tmp_path, capsys):
+        # 4 users hold 8 rows, and a tenth of 4 split units rounds to none
+        assert main(["synth", "--n-users", "4", "--out", str(tmp_path / "synth")]) == 0
+        corpus = str(tmp_path / "synth" / "corpus.tsv")
+        assert main(["train", "--corpus", corpus, *TINY_TRAIN_FLAGS,
+                     "--out", str(tmp_path / "train")]) == 0
+        capsys.readouterr()
+        argv = [command, "--corpus", corpus, "--out", str(tmp_path / "out")]
+        if command == "eval":
+            argv += ["--checkpoint", str(tmp_path / "train" / "model.ckpt")]
+        else:
+            argv += [*TINY_TRAIN_FLAGS, "--n-repeats", "1"]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("ERROR ") and expect in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestGradcheck:
     def test_pass_run(self, tmp_path, capsys):
@@ -241,6 +262,26 @@ class TestViz:
                    "--steps", "6", "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "no evolution layer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_steps_below_1_rejected(self, steps, corpus_dir, train_dir, tmp_path, capsys):
+        # a history of steps - 1 behaviors in one category used to come
+        # out short and be blamed on the corpus
+        rc = main(["viz", "--checkpoint", str(train_dir / "model.ckpt"),
+                   "--corpus", str(corpus_dir / "corpus.tsv"),
+                   "--steps", steps, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1
+        assert f"steps must be at least 1, got {steps}" in err
+
+    def test_one_step(self, corpus_dir, train_dir, tmp_path):
+        rc = main(["viz", "--checkpoint", str(train_dir / "model.ckpt"),
+                   "--corpus", str(corpus_dir / "corpus.tsv"),
+                   "--steps", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        traj = (tmp_path / "viz_trajectories.csv").read_text().splitlines()
+        assert len(traj) == 1 + 3 * 1
 
 
 class TestAblation:
@@ -419,6 +460,15 @@ CORRUPT_CHECKPOINTS = {
         _header_edit(lambda h: {k: v for k, v in h.items() if k != "arrays"}), "'arrays'"),
     "text embed_dim": (_header_edit(lambda h: {**h, "embed_dim": "x"}), "'embed_dim'"),
     "NaN alpha": (_header_edit(lambda h: {**h, "alpha": float("nan")}), "'alpha'"),
+    # sizes are JSON integers: int() overflowed on 1e999 and truncated 4.9
+    # and True to sizes that loaded
+    "infinite embed_dim": (lambda raw: raw.replace(b'"embed_dim":4', b'"embed_dim":1e999', 1),
+                           "'embed_dim'"),
+    "fractional shape": (_header_edit(lambda h: _listed(h, [
+        ["item_emb", [h["arrays"][0][1][0] + 0.9, h["arrays"][0][1][1]]], *h["arrays"][1:]])),
+        "'arrays'"),
+    "boolean shape": (_header_edit(lambda h: _listed(h, [*h["arrays"][:-1], ["mlp.b1", [True]]])),
+                      "'arrays'"),
     "list header": (lambda raw: b"[1,2]\n" + raw.split(b"\n", 1)[1], "not a version-1"),
     "non-UTF-8 header": (lambda raw: raw.replace(b'"variant":"dien"', b'"variant":"di\xe9n"', 1),
                          "bad checkpoint header"),

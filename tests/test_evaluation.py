@@ -165,7 +165,7 @@ class TestRepeatEval:
     def test_no_test_split_rejected(self):
         corpus = replace(synth_generate(SynthConfig(n_users=20, n_items=30, n_cats=3,
                                                     seed=32)), test_idx=[])
-        with pytest.raises(UsageError):
+        with pytest.raises(DegenerateError):
             repeat_eval(corpus, TINY_TRAIN, n_repeats=1)
 
     def test_evaluate_single_model(self):
@@ -283,10 +283,10 @@ class TestExportViz:
 
     def test_bundle_and_files(self, tmp_path):
         corpus = synth_generate(VIZ_SYNTH)
-        probes, labels = build_viz_probes(corpus, steps=6)
+        _, labels = build_viz_probes(corpus, steps=6)
         model = self.make_model(corpus)
         traj, attn = tmp_path / "traj.csv", tmp_path / "attn.csv"
-        bundle = export_viz(model, probes, labels, traj, attn)
+        bundle = export_viz(model, corpus, traj, attn, steps=6)
 
         assert bundle.labels == labels + [VizBundle.NONE_LABEL]
         uniform = bundle.attention[VizBundle.NONE_LABEL]
@@ -309,38 +309,30 @@ class TestExportViz:
 
     def test_deterministic_bytes(self, tmp_path):
         corpus = synth_generate(VIZ_SYNTH)
-        probes, labels = build_viz_probes(corpus, steps=6)
         model = self.make_model(corpus)
         a1, a2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
         b1, b2 = tmp_path / "a1.csv", tmp_path / "a2.csv"
-        export_viz(model, probes, labels, a1, b1)
-        export_viz(model, probes, labels, a2, b2)
+        export_viz(model, corpus, a1, b1, steps=6)
+        export_viz(model, corpus, a2, b2, steps=6)
         assert a1.read_bytes() == a2.read_bytes()
         assert b1.read_bytes() == b2.read_bytes()
 
     def test_variant_without_evolution_rejected(self, tmp_path):
         corpus = synth_generate(VIZ_SYNTH)
-        probes, labels = build_viz_probes(corpus, steps=6)
         for variant in (ModelVariant.BASE, ModelVariant.TWO_LAYER_GRU_ATT):
             model = DienModel.build(variant, len(corpus.item_vocab),
                                     len(corpus.cat_vocab), 4, 8, (8,), 0.0, seed=1)
             with pytest.raises(ConfigError):
-                export_viz(model, probes, labels, tmp_path / "t.csv", tmp_path / "a.csv")
+                export_viz(model, corpus, tmp_path / "t.csv", tmp_path / "a.csv", steps=6)
 
     def test_probe_hygiene(self, tmp_path):
-        corpus = synth_generate(VIZ_SYNTH)
-        probes, labels = build_viz_probes(corpus, steps=6)
-        model = self.make_model(corpus)
-        t, a = tmp_path / "t.csv", tmp_path / "a.csv"
-        with pytest.raises(ConfigError, match="reserved"):
-            export_viz(model, probes, [labels[0], VizBundle.NONE_LABEL], t, a)
-        with pytest.raises(ConfigError, match="distinct"):
-            export_viz(model, [probes[0], probes[0]], labels, t, a)
-        mixed = [probes[0], synth_generate(VIZ_SYNTH).instances[0]]
-        with pytest.raises(UsageError, match="share"):
-            export_viz(model, mixed, labels, t, a)
-        with pytest.raises(ShapeError):
-            export_viz(model, probes, labels[:1], t, a)
+        # the probes are built inside, so only the model can be unfit; it is
+        # checked first, even on a corpus too small for the probes
+        corpus = synth_generate(SynthConfig(n_users=20, n_items=60, n_cats=10,
+                                            seq_len=4, seed=34))
+        model = self.make_model(corpus, variant=ModelVariant.BASE)
+        with pytest.raises(ConfigError, match="no evolution layer"):
+            export_viz(model, corpus, tmp_path / "t.csv", tmp_path / "a.csv", steps=10)
 
 
 class TestMetricsFiles:

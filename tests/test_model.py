@@ -97,11 +97,8 @@ def row_embeddings(model, inst):
     return behaviors, target
 
 
-def oracle(model, inst, scores=None):
-    """(click probability, extractor states) of one unpadded row.
-
-    `scores` replaces the attention weights, as forward_batch's override does.
-    """
+def oracle(model, inst):
+    """(click probability, extractor states) of one unpadded row."""
     xs, target = row_embeddings(model, inst)
     states = None
     if not model.variant.recurrent:
@@ -110,8 +107,7 @@ def oracle(model, inst, scores=None):
         states = run_cell(model.extractor, xs)
         cell = model.variant.evolution_cell
         attended = states if cell else run_cell(model.evolver, states)
-        if scores is None:
-            scores = softmax(attended @ (model.attention.w @ target))
+        scores = softmax(attended @ (model.attention.w @ target))
         if cell is None:
             interest = scores @ attended
         elif cell == AIGRU:
@@ -255,7 +251,8 @@ class TestBaseForward:
         empty = Batch(item_ids=np.zeros((1, 1), dtype=np.int64),
                       cat_ids=np.zeros((1, 1), dtype=np.int64), valid=np.array([0]),
                       target_items=np.array([1]), target_cats=np.array([1]),
-                      labels=np.array([1.0]))
+                      labels=np.array([1.0]), history_of=np.arange(1),
+                      first_rows=np.arange(1))
         p = forward_batch(model, empty)["probs"][0]
         assert 0.0 < p < 1.0
 
@@ -274,26 +271,17 @@ class TestBaseForward:
 
 
 class TestDienForward:
-    def test_rejects_base(self):
-        # the sum-pooling variant has no attention scores to replace
-        model = build(ModelVariant.BASE)
-        batch = make_batch([rand_instance(np.random.default_rng(0), length=1)])
-        with pytest.raises(UsageError):
-            forward_batch(model, batch, scores=np.ones((1, 1)))
-
     def test_single_step_uniform_attention_is_one_gru_step(self):
-        # with one valid step the uniform score is 1.0 and the gate-scaling
-        # cell collapses to a plain step from the zero state
+        # one valid step softmaxes to a score of exactly 1.0, and the
+        # gate-scaling cell collapses to a plain step from the zero state
         model = build(ModelVariant.GRU_AUGRU, seed=7)
         rng = np.random.default_rng(92)
-        batch = make_batch([rand_instance(rng, length=1)])
-        forced = forward_batch(model, batch, scores=np.ones((1, 1)))
-        x = forced["behaviors"][0, 0]
+        ctx = forward_batch(model, make_batch([rand_instance(rng, length=1)]))
+        np.testing.assert_array_equal(ctx["scores"], [[1.0]])
+        x = ctx["behaviors"][0, 0]
         h1 = cell_step(model.extractor, x, np.zeros(6))
         h_final = cell_step(model.evolver, h1, np.zeros(6))
-        np.testing.assert_allclose(forced["evolved"][0, 0], h_final, atol=1e-12)
-        auto = forward_batch(model, batch)
-        assert auto["probs"][0] == pytest.approx(forced["probs"][0], abs=1e-12)
+        np.testing.assert_allclose(ctx["evolved"][0, 0], h_final, atol=1e-12)
 
     def test_order_sensitivity(self):
         rng = np.random.default_rng(93)
@@ -542,14 +530,16 @@ class TestBatchedEngineAgreement:
         np.testing.assert_array_equal(ctx["states1"][-1], ctx["states1"][0])
 
     def test_hand_built_batch_runs_every_row(self):
-        # a Batch without history numbering treats every row as its own
+        # a Batch numbered np.arange(B) treats every row as its own history
         rng = np.random.default_rng(108)
         model = build(ModelVariant.DIEN, seed=18)
         insts = self.batch_rows(rng)
         numbered = make_batch(insts)
+        rows = np.arange(len(insts))
         plain = Batch(item_ids=numbered.item_ids, cat_ids=numbered.cat_ids,
                       valid=numbered.valid, target_items=numbered.target_items,
-                      target_cats=numbered.target_cats, labels=numbered.labels)
+                      target_cats=numbered.target_cats, labels=numbered.labels,
+                      history_of=rows, first_rows=rows)
         assert not plain.repeats
         ctx = forward_batch(model, plain)
         assert ctx["cache1"]["inputs"].shape[0] == len(insts)
@@ -563,7 +553,8 @@ class TestBatchedEngineAgreement:
         rng = np.random.default_rng(109)
         model = build(variant, seed=19)
         numbered = make_batch(self.batch_rows(rng))
-        plain = dataclasses.replace(numbered, history_of=None, first_rows=None)
+        rows = np.arange(numbered.valid.size)
+        plain = dataclasses.replace(numbered, history_of=rows, first_rows=rows)
         neg_items = draw_negative_items(rng, N_ITEMS, numbered.item_ids[:, 1:])
         negatives = (neg_items, (neg_items - 1) % (N_CATS - 1) + 1)
         grads, tables = [], []
@@ -577,19 +568,6 @@ class TestBatchedEngineAgreement:
             np.testing.assert_allclose(grads[0][name], grads[1][name], rtol=1e-12, atol=1e-15)
         for a, b in zip(*tables):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
-
-    @pytest.mark.parametrize("variant", [v for v in ModelVariant if v.recurrent])
-    def test_scores_override_matches(self, variant):
-        rng = np.random.default_rng(106)
-        model = build(variant, seed=16)
-        insts = [rand_instance(rng, length=4) for _ in range(3)]
-        scores = rng.uniform(0.0, 1.0, size=(3, 4))
-        ctx = forward_batch(model, make_batch(insts), scores=scores)
-        np.testing.assert_array_equal(ctx["scores"], scores)
-        expect = [oracle(model, inst, scores[k])[0] for k, inst in enumerate(insts)]
-        np.testing.assert_allclose(ctx["probs"], expect, rtol=0.0, atol=1e-10)
-        with pytest.raises(UsageError):
-            model_backward(model, ctx)  # an overridden context is forward-only
 
     def test_zero_alpha_negatives_get_no_gradient(self):
         # the impostor ids only touch the tables through the next-behavior
