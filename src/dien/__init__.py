@@ -36,10 +36,10 @@ from .evaluation import (
     auc,
     build_viz_probes,
     evaluate,
-    export_viz,
     pca_project,
     repeat_eval,
     run_ablation,
+    viz_bundle,
 )
 from .model import DienModel, MlpParams, ModelVariant, total_loss
 from .numerics import finite_diff_grad, log_sigmoid, max_rel_error, sigmoid

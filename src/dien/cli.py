@@ -27,8 +27,8 @@ from .data import SynthConfig, parse_corpus, save_corpus, synth_generate
 from .errors import ConfigError, DienError
 from .evaluation import (
     evaluate,
-    export_viz,
     run_ablation,
+    viz_bundle,
     write_metrics,
     write_summary,
 )
@@ -258,10 +258,10 @@ def cmd_viz(values: dict) -> int:
     model = DienModel.load(values["checkpoint"])
     # the probes read only the vocabularies and item categories, not the split
     corpus = parse_corpus(values["corpus"])
+    bundle = viz_bundle(model, corpus, steps=values["steps"])
     out = _out_dir(values)
     _write_echo(out, "viz", values)
-    bundle = export_viz(model, corpus, out / "viz_trajectories.csv",
-                        out / "viz_attention.csv", steps=values["steps"])
+    bundle.write(out / "viz_trajectories.csv", out / "viz_attention.csv")
     log.info("wrote %d trajectories over %d steps to %s", len(bundle.labels),
              values["steps"], out)
     return 0

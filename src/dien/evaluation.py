@@ -5,7 +5,7 @@ The metric is the probability that a random positive outscores a random
 negative, ties at half credit, computed by midrank summation.  Experiments
 repeat training over consecutive seeds and report mean and population
 spread.  The visualization side projects evolved hidden states to 2-D by
-principal components and exports per-probe trajectories and attention rows
+principal components and writes per-probe trajectories and attention rows
 as CSV, including a target-free probe driven by uniform relevance scores.
 """
 
@@ -21,7 +21,8 @@ from .model import DienModel, ModelVariant, forward_batch, make_batch
 from .recurrent import evolve_forward
 from .training import TrainConfig, train
 
-EVAL_CHUNK = 512
+EVAL_CHUNK = 512  # rows per scoring chunk at most
+EVAL_CELLS = 5_120  # padded cells per scoring chunk at most: 512 rows of 10 steps
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -76,14 +77,28 @@ class EvalReport:
 
 
 def model_scores(model: DienModel, instances: list) -> np.ndarray:
-    """Click probabilities for a fixed instance list, in order, scored in
-    chunks of EVAL_CHUNK rows."""
+    """Click probabilities for a fixed instance list, in order.
+
+    Rows run longest history first (a stable sort, so a click/non-click
+    pair stays adjacent and shares one extractor pass), in chunks of at most
+    EVAL_CHUNK rows and EVAL_CELLS padded cells, which bounds a chunk's
+    states and caches whatever the history lengths.  Histories shorter than
+    EVAL_CELLS // EVAL_CHUNK steps sort as that long, so they keep their
+    input order and consecutive EVAL_CHUNK-row chunks.
+    """
     if not instances:
         raise UsageError("no instances to score")
-    return np.concatenate([
-        forward_batch(model, make_batch(instances[i:i + EVAL_CHUNK]))["probs"]
-        for i in range(0, len(instances), EVAL_CHUNK)
-    ])
+    steps = np.maximum([len(inst.history_items) for inst in instances],
+                       EVAL_CELLS // EVAL_CHUNK)
+    order = np.argsort(-steps, kind="stable")
+    probs = np.empty(len(instances))
+    start = 0
+    while start < len(order):
+        take = min(EVAL_CHUNK, max(1, EVAL_CELLS // steps[order[start]]))
+        rows = order[start:start + take]
+        probs[rows] = forward_batch(model, make_batch([instances[i] for i in rows]))["probs"]
+        start += rows.size
+    return probs
 
 
 def evaluate(model: DienModel, instances: list, max_history: int = 50) -> EvalReport:
@@ -168,6 +183,19 @@ class VizBundle:
 
     NONE_LABEL = "none"
 
+    def write(self, traj_path, attn_path) -> None:
+        """The trajectories and the attention rows as two CSV files."""
+        with open(traj_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("probe,step,x,y\n")
+            for label in self.labels:
+                for t, (x, y) in enumerate(self.trajectories[label]):
+                    fh.write(f"{label},{t},{float(x)!r},{float(y)!r}\n")
+        with open(attn_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("probe,step,score\n")
+            for label in self.labels:
+                for t, s in enumerate(self.attention[label]):
+                    fh.write(f"{label},{t},{float(s)!r}\n")
+
 
 PLANT_CATS = (1, 2)  # the history's dwelling category, then its final one
 PROBE_CATS = (2, 3)  # the related and the unrelated probe target's category
@@ -217,8 +245,7 @@ def build_viz_probes(corpus: Corpus, steps: int = 10):
     return probes, labels
 
 
-def export_viz(model: DienModel, corpus: Corpus, traj_path, attn_path,
-               steps: int = 10) -> VizBundle:
+def viz_bundle(model: DienModel, corpus: Corpus, steps: int = 10) -> VizBundle:
     """Trajectories and attention rows for the probes of build_viz_probes.
 
     One forward pass runs both probe targets over their shared history; the
@@ -246,18 +273,6 @@ def export_viz(model: DienModel, corpus: Corpus, traj_path, attn_path,
     trajectories = {}
     for k, label in enumerate(all_labels):
         trajectories[label] = projected[k * steps:(k + 1) * steps]
-
-    with open(traj_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("probe,step,x,y\n")
-        for label in all_labels:
-            for t, (x, y) in enumerate(trajectories[label]):
-                fh.write(f"{label},{t},{float(x)!r},{float(y)!r}\n")
-    with open(attn_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("probe,step,score\n")
-        for label in all_labels:
-            for t, s in enumerate(attention[label]):
-                fh.write(f"{label},{t},{float(s)!r}\n")
-
     return VizBundle(labels=all_labels, trajectories=trajectories, attention=attention)
 
 

@@ -21,6 +21,7 @@ import enum
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -178,11 +179,11 @@ def _size(value) -> int:
 
 
 def _nonnegative_float(value) -> float:
-    """A checkpoint header number that must be finite and nonnegative."""
-    number = float(value)
-    if not (np.isfinite(number) and number >= 0):
-        raise ValueError(f"{number} is not a finite, nonnegative number")
-    return number
+    """A checkpoint header number, which must be a finite, nonnegative JSON
+    number: no string and no boolean."""
+    if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+        raise ValueError(f"{value!r} is not a finite, nonnegative number")
+    return float(value)
 
 
 class DienModel:
@@ -292,7 +293,7 @@ class DienModel:
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ParseError(f"{path}: bad checkpoint header: {exc}") from None
             if (not isinstance(header, dict) or header.get("format") != "dien-checkpoint"
-                    or header.get("version") != 1):
+                    or type(header.get("version")) is not int or header["version"] != 1):
                 raise ParseError(f"{path}: not a version-1 checkpoint")
 
             def field(name, parse):

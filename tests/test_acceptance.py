@@ -16,7 +16,7 @@ import pytest
 
 from dien.cli import main
 from dien.data import SynthConfig, synth_generate
-from dien.evaluation import auc, build_viz_probes, export_viz, pca_project, run_ablation
+from dien.evaluation import auc, build_viz_probes, pca_project, run_ablation, viz_bundle
 from dien.model import ModelVariant
 from dien.recurrent import AGRU, AIGRU, AUGRU, GruParams, evolve_forward, gru_forward
 from dien.training import TrainConfig, grad_check, train
@@ -196,15 +196,13 @@ def test_next_behavior_supervision_lifts_auc(ablation_by_corpus):
     assert ok, line
 
 
-def test_probe_attention_and_trajectory_separation(default_corpus, dien_runs,
-                                                   tmp_path_factory):
+def test_probe_attention_and_trajectory_separation(default_corpus, dien_runs):
     _, labels = build_viz_probes(default_corpus)
     related, unrelated = labels
     good = 0
     details = []
     for seed, (model, _) in enumerate(dien_runs):
-        out = tmp_path_factory.mktemp(f"viz{seed}")
-        bundle = export_viz(model, default_corpus, out / "traj.csv", out / "attn.csv")
+        bundle = viz_bundle(model, default_corpus)
         attn = bundle.attention[related]
         peak_last = int(np.argmax(attn)) == attn.size - 1
         none = bundle.trajectories["none"]

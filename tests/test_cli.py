@@ -275,6 +275,29 @@ class TestViz:
         assert len(err.splitlines()) == 1
         assert f"steps must be at least 1, got {steps}" in err
 
+    @pytest.mark.parametrize("case", ["steps 0", "flat model", "two-category corpus"])
+    def test_bad_input_leaves_no_output(self, case, corpus_dir, train_dir, tmp_path, capsys):
+        # every check runs before the output directory and its echo are made
+        checkpoint, corpus, steps = train_dir / "model.ckpt", corpus_dir / "corpus.tsv", "6"
+        if case == "steps 0":
+            steps = "0"
+        elif case == "flat model":
+            checkpoint = tmp_path / "flat" / "model.ckpt"
+            assert main(["train", "--corpus", str(corpus), "--variant", "base",
+                         "--epochs", "0", *TINY_TRAIN_FLAGS[2:],
+                         "--out", str(checkpoint.parent)]) == 0
+        else:  # the probes need three categories
+            corpus = tmp_path / "small" / "corpus.tsv"
+            assert main(["synth", "--n-users", "20", "--n-items", "40", "--n-cats", "2",
+                         "--seq-len", "4", "--out", str(corpus.parent)]) == 0
+        capsys.readouterr()
+        rc = main(["viz", "--checkpoint", str(checkpoint), "--corpus", str(corpus),
+                   "--steps", steps, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("ERROR ")
+        assert not (tmp_path / "out").exists()
+
     def test_one_step(self, corpus_dir, train_dir, tmp_path):
         rc = main(["viz", "--checkpoint", str(train_dir / "model.ckpt"),
                    "--corpus", str(corpus_dir / "corpus.tsv"),
@@ -460,6 +483,14 @@ CORRUPT_CHECKPOINTS = {
         _header_edit(lambda h: {k: v for k, v in h.items() if k != "arrays"}), "'arrays'"),
     "text embed_dim": (_header_edit(lambda h: {**h, "embed_dim": "x"}), "'embed_dim'"),
     "NaN alpha": (_header_edit(lambda h: {**h, "alpha": float("nan")}), "'alpha'"),
+    # alpha is a JSON number and version the JSON integer 1: float() read
+    # true as 1.0 and "2.5" as 2.5, and true passed `!= 1`
+    "boolean alpha": (_header_edit(lambda h: {**h, "alpha": True}), "'alpha'"),
+    "text alpha": (_header_edit(lambda h: {**h, "alpha": "2.5"}), "'alpha'"),
+    # a JSON integer past the float range: float() raised OverflowError
+    "huge alpha": (_header_edit(lambda h: {**h, "alpha": 10**400}), "'alpha'"),
+    "boolean version": (_header_edit(lambda h: {**h, "version": True}), "not a version-1"),
+    "fractional version": (_header_edit(lambda h: {**h, "version": 1.0}), "not a version-1"),
     # sizes are JSON integers: int() overflowed on 1e999 and truncated 4.9
     # and True to sizes that loaded
     "infinite embed_dim": (lambda raw: raw.replace(b'"embed_dim":4', b'"embed_dim":1e999', 1),

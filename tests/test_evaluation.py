@@ -6,24 +6,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dien.data import SynthConfig, synth_generate
+from dien import evaluation
+from dien.data import SynthConfig, synth_generate, truncate_history
 from dien.errors import ConfigError, DegenerateError, NumericError, ShapeError, UsageError
 from dien.evaluation import (
+    EVAL_CELLS,
+    EVAL_CHUNK,
     EvalReport,
     VizBundle,
     _midranks,
     auc,
     build_viz_probes,
     evaluate,
-    export_viz,
     model_scores,
     pca_project,
     repeat_eval,
     run_ablation,
+    viz_bundle,
     write_metrics,
     write_summary,
 )
-from dien.model import DienModel, ModelVariant
+from dien.model import DienModel, ModelVariant, forward_batch, make_batch
 from dien.training import TrainConfig, train
 
 
@@ -143,6 +146,73 @@ class TestModelScores:
         assert scores.shape == (len(insts),)
         alone = [model_scores(model, [inst])[0] for inst in insts]
         np.testing.assert_allclose(scores, alone, rtol=0.0, atol=1e-12)
+
+    @staticmethod
+    def paired_rows(seed, max_len, n_users=300):
+        """A 50-step corpus whose pairs are cut to the most recent L steps,
+        L uniform in 1..max_len per pair, and a DIEN model for it at the
+        default widths, where a chunk's other rows can move a score's last
+        bit."""
+        corpus = synth_generate(SynthConfig(n_users=n_users, n_items=1000, n_cats=10,
+                                            seq_len=50, seed=seed))
+        lengths = np.random.default_rng(seed).integers(1, max_len + 1, size=n_users)
+        rows = [truncate_history(inst, int(lengths[k // 2]))
+                for k, inst in enumerate(corpus.instances)]
+        assert all(rows[k].history_items == rows[k + 1].history_items
+                   for k in range(0, len(rows), 2))
+        model = DienModel.build(ModelVariant.DIEN, len(corpus.item_vocab),
+                                len(corpus.cat_vocab), 16, 32, (64, 32), 1.0, seed=3)
+        return model, rows
+
+    @staticmethod
+    def recorded_chunks(monkeypatch, rows):
+        """(input positions, batch) of each chunk model_scores makes."""
+        position = {id(row): k for k, row in enumerate(rows)}
+        chunks = []
+
+        def recording(instances):
+            batch = make_batch(instances)
+            chunks.append(([position[id(inst)] for inst in instances], batch))
+            return batch
+
+        monkeypatch.setattr(evaluation, "make_batch", recording)
+        return chunks
+
+    def test_mixed_lengths_return_in_input_order(self, monkeypatch):
+        model, rows = self.paired_rows(seed=35, max_len=50)
+        chunks = self.recorded_chunks(monkeypatch, rows)
+        scores = model_scores(model, rows)
+        alone = [forward_batch(model, make_batch([row]))["probs"][0] for row in rows]
+        np.testing.assert_allclose(scores, alone, rtol=0.0, atol=1e-12)
+        # the rows were reordered, and some pair was cut across two chunks
+        order = [k for positions, _ in chunks for k in positions]
+        assert order != sorted(order)
+        chunk_of = {k: c for c, (positions, _) in enumerate(chunks) for k in positions}
+        assert any(chunk_of[k] != chunk_of[k + 1] for k in range(0, len(rows), 2))
+
+    def test_chunks_stay_within_the_cell_budget(self, monkeypatch):
+        model, rows = self.paired_rows(seed=36, max_len=50)
+        chunks = self.recorded_chunks(monkeypatch, rows)
+        model_scores(model, rows)
+        assert sorted(k for positions, _ in chunks for k in positions) == list(range(len(rows)))
+        sizes = [(batch.valid.size, batch.item_ids.shape[1]) for _, batch in chunks]
+        assert all(n <= EVAL_CHUNK and n * width <= EVAL_CELLS for n, width in sizes)
+        # longest histories first, and every chunk but the last fills its budget
+        floor = EVAL_CELLS // EVAL_CHUNK
+        widths = [max(width, floor) for _, width in sizes]
+        assert widths == sorted(widths, reverse=True)
+        assert all(n == min(EVAL_CHUNK, EVAL_CELLS // w)
+                   for (n, _), w in zip(sizes[:-1], widths))
+
+    @pytest.mark.parametrize("max_len", [10, 1])
+    def test_short_histories_keep_consecutive_chunks(self, max_len):
+        # at most 10 steps, the sort keeps the input order: the scores are
+        # bitwise those of consecutive EVAL_CHUNK-row chunks
+        model, rows = self.paired_rows(seed=37, max_len=max_len, n_users=600)
+        consecutive = np.concatenate([
+            forward_batch(model, make_batch(rows[i:i + EVAL_CHUNK]))["probs"]
+            for i in range(0, len(rows), EVAL_CHUNK)])
+        np.testing.assert_array_equal(model_scores(model, rows), consecutive)
 
     def test_empty_rejected(self):
         model = DienModel.build(ModelVariant.BASE, 5, 3, 2, 4, (4,), 0.0, seed=0)
@@ -286,7 +356,8 @@ class TestExportViz:
         _, labels = build_viz_probes(corpus, steps=6)
         model = self.make_model(corpus)
         traj, attn = tmp_path / "traj.csv", tmp_path / "attn.csv"
-        bundle = export_viz(model, corpus, traj, attn, steps=6)
+        bundle = viz_bundle(model, corpus, steps=6)
+        bundle.write(traj, attn)
 
         assert bundle.labels == labels + [VizBundle.NONE_LABEL]
         uniform = bundle.attention[VizBundle.NONE_LABEL]
@@ -312,27 +383,27 @@ class TestExportViz:
         model = self.make_model(corpus)
         a1, a2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
         b1, b2 = tmp_path / "a1.csv", tmp_path / "a2.csv"
-        export_viz(model, corpus, a1, b1, steps=6)
-        export_viz(model, corpus, a2, b2, steps=6)
+        viz_bundle(model, corpus, steps=6).write(a1, b1)
+        viz_bundle(model, corpus, steps=6).write(a2, b2)
         assert a1.read_bytes() == a2.read_bytes()
         assert b1.read_bytes() == b2.read_bytes()
 
-    def test_variant_without_evolution_rejected(self, tmp_path):
+    def test_variant_without_evolution_rejected(self):
         corpus = synth_generate(VIZ_SYNTH)
         for variant in (ModelVariant.BASE, ModelVariant.TWO_LAYER_GRU_ATT):
             model = DienModel.build(variant, len(corpus.item_vocab),
                                     len(corpus.cat_vocab), 4, 8, (8,), 0.0, seed=1)
             with pytest.raises(ConfigError):
-                export_viz(model, corpus, tmp_path / "t.csv", tmp_path / "a.csv", steps=6)
+                viz_bundle(model, corpus, steps=6)
 
-    def test_probe_hygiene(self, tmp_path):
+    def test_probe_hygiene(self):
         # the probes are built inside, so only the model can be unfit; it is
         # checked first, even on a corpus too small for the probes
         corpus = synth_generate(SynthConfig(n_users=20, n_items=60, n_cats=10,
                                             seq_len=4, seed=34))
         model = self.make_model(corpus, variant=ModelVariant.BASE)
         with pytest.raises(ConfigError, match="no evolution layer"):
-            export_viz(model, corpus, tmp_path / "t.csv", tmp_path / "a.csv", steps=10)
+            viz_bundle(model, corpus, steps=10)
 
 
 class TestMetricsFiles:
