@@ -313,6 +313,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("%s", exc)
         return 2
+    except MemoryError as exc:
+        log.error("out of memory: %s", exc)
+        return 2
 
 
 if __name__ == "__main__":

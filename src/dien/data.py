@@ -280,6 +280,8 @@ class SynthConfig:
             raise ConfigError(f"n_users must be positive, got {self.n_users}")
         if self.seed < 0:
             raise ConfigError(f"seed must not be negative, got {self.seed}")
+        if self.n_items > np.iinfo(np.int64).max:
+            raise ConfigError(f"n_items={self.n_items} is more than an int64 id can name")
         if self.n_items < 2 * self.n_cats:
             raise ConfigError(
                 f"n_items={self.n_items} leaves no spare targets for "

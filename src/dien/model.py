@@ -224,6 +224,16 @@ class DienModel:
                 f"hidden_size must equal the behavior width {behavior_width} "
                 f"(item + category embedding), got {hidden_size}"
             )
+        interest_width = hidden_size if variant.recurrent else behavior_width
+        widths = [interest_width + behavior_width, *mlp_hidden, 1]
+        # counted in Python ints, before numpy meets a size it cannot hold
+        shapes = [(embed_dim, item_vocab), (embed_dim, cat_vocab), *zip(widths[1:], widths)]
+        if variant.recurrent:
+            shapes += [(hidden_size, behavior_width), (hidden_size, hidden_size)]
+        for shape in shapes:
+            if math.prod(shape) > np.iinfo(np.intp).max // 8:
+                raise ConfigError(f"a {shape[0]} x {shape[1]} parameter array is more "
+                                  "than one float64 array can hold")
         rng = np.random.default_rng(seed)
         item_table = EmbeddingTable(item_vocab, embed_dim, rng=rng)
         cat_table = EmbeddingTable(cat_vocab, embed_dim, rng=rng)
@@ -232,8 +242,6 @@ class DienModel:
             extractor = GruParams.init(behavior_width, hidden_size, rng)
             evolver = GruParams.init(hidden_size, hidden_size, rng)
             attention = AttentionParams.init(hidden_size, behavior_width, rng)
-        interest_width = hidden_size if variant.recurrent else behavior_width
-        widths = [interest_width + behavior_width, *mlp_hidden, 1]
         mlp = MlpParams.init(widths, rng)
         return cls(variant, alpha, item_table, cat_table, extractor, evolver,
                    attention, mlp, embed_dim, hidden_size, widths)
@@ -348,17 +356,18 @@ class DienModel:
 
 @dataclass
 class Batch:
-    """Padded id arrays for a slice of instances.
+    """Padded id arrays for a slice of instances, each distinct behavior
+    history held once.
 
-    `history_of` numbers each row's behavior history in order of first
-    appearance, and `first_rows` holds the first row of each distinct
-    history; `np.arange(B)` for both runs every row as its own history.
+    `history_of` numbers each row's history in order of first appearance,
+    and `first_rows` holds the first row of each distinct history;
+    `np.arange(B)` for both makes every row its own history.
     """
 
-    item_ids: np.ndarray  # (B, T) with PAD_ID fill
-    cat_ids: np.ndarray
-    valid: np.ndarray  # (B,)
-    target_items: np.ndarray
+    history_items: np.ndarray  # (H, T) with PAD_ID fill
+    history_cats: np.ndarray
+    history_lens: np.ndarray  # (H,)
+    target_items: np.ndarray  # (B,)
     target_cats: np.ndarray
     labels: np.ndarray  # (B,) float64
     history_of: np.ndarray  # (B,) distinct-history index of each row
@@ -367,12 +376,22 @@ class Batch:
     @property
     def repeats(self) -> bool:
         """Whether some history appears on more than one row."""
-        return self.first_rows.size < self.valid.size
+        return self.first_rows.size < self.history_of.size
+
+    @property
+    def item_ids(self) -> np.ndarray:
+        """(B, T) behavior item ids of each row, for callers that index rows."""
+        return _by_row(self, self.history_items)
+
+    @property
+    def cat_ids(self) -> np.ndarray:
+        """(B, T) behavior category ids of each row."""
+        return _by_row(self, self.history_cats)
 
 
 def make_batch(instances: list) -> Batch:
     """Number the distinct histories (a click/non-click pair shares one) and
-    pad every history to the batch's longest one."""
+    pad each of them once to the batch's longest."""
     if not instances:
         raise UsageError("empty instance list")
     seen: dict = {}
@@ -382,46 +401,27 @@ def make_batch(instances: list) -> Batch:
         if k == len(first_rows):
             first_rows.append(row)
         history_of.append(k)
-    lens = [len(inst.history_items) for inst in instances]
-    width = max(lens)
-    item_ids = np.full((len(first_rows), width), PAD_ID, dtype=np.int64)
-    cat_ids = np.full((len(first_rows), width), PAD_ID, dtype=np.int64)
+    lens = [len(instances[row].history_items) for row in first_rows]
+    items = np.full((len(first_rows), max(lens)), PAD_ID, dtype=np.int64)
+    cats = np.full_like(items, PAD_ID)
     for k, row in enumerate(first_rows):
-        item_ids[k, :lens[row]] = instances[row].history_items
-        cat_ids[k, :lens[row]] = instances[row].history_cats
-    history_of = np.asarray(history_of, dtype=np.int64)
-    if len(first_rows) < len(instances):
-        item_ids, cat_ids = item_ids[history_of], cat_ids[history_of]
+        items[k, :lens[k]] = instances[row].history_items
+        cats[k, :lens[k]] = instances[row].history_cats
     return Batch(
-        item_ids=item_ids,
-        cat_ids=cat_ids,
-        valid=np.asarray(lens, dtype=np.int64),
+        history_items=items,
+        history_cats=cats,
+        history_lens=np.asarray(lens, dtype=np.int64),
         target_items=np.asarray([inst.target_item for inst in instances], dtype=np.int64),
         target_cats=np.asarray([inst.target_cat for inst in instances], dtype=np.int64),
         labels=np.asarray([inst.label for inst in instances], dtype=np.float64),
-        history_of=history_of,
+        history_of=np.asarray(history_of, dtype=np.int64),
         first_rows=np.asarray(first_rows, dtype=np.int64),
     )
 
 
-def _by_history(batch: Batch, arr: np.ndarray) -> np.ndarray:
-    """The rows of a per-row array that head each distinct history."""
-    return arr[batch.first_rows] if batch.repeats else arr
-
-
 def _by_row(batch: Batch, arr: np.ndarray) -> np.ndarray:
-    """A per-history array gathered back to one row per instance."""
+    """A per-history array gathered out to one row per instance."""
     return arr[batch.history_of] if batch.repeats else arr
-
-
-def _on_first_rows(batch: Batch, arr: np.ndarray) -> np.ndarray:
-    """A per-history array placed on each history's first row, zero on the
-    other rows: the adjoint of _by_history."""
-    if not batch.repeats:
-        return arr
-    out = np.zeros((batch.valid.size,) + arr.shape[1:])
-    out[batch.first_rows] = arr
-    return out
 
 
 def _sum_by_history(batch: Batch, grads: np.ndarray) -> np.ndarray:
@@ -430,7 +430,7 @@ def _sum_by_history(batch: Batch, grads: np.ndarray) -> np.ndarray:
     if not batch.repeats:
         return grads
     out = grads[batch.first_rows]
-    later = np.ones(batch.valid.size, dtype=bool)
+    later = np.ones(batch.history_of.size, dtype=bool)
     later[batch.first_rows] = False
     # np.add.at adds repeated indices one after another, in row order
     np.add.at(out, batch.history_of[later], grads[later])
@@ -461,45 +461,47 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None) -> dict:
     and probabilities under "probs".
 
     Nothing before the attention sees the target, so the behavior lookup,
-    the sum-pooling and the target-free recurrences (the interest
-    extractor, and the two-layer baseline's second recurrence) run once per
-    distinct history; "behaviors" holds one row per distinct history, and
-    the pooled vector and the states are gathered back per row.  The
-    attention, the evolution cell, the head and both losses stay per row.
+    the step mask, the sum-pooling and the target-free recurrences (the
+    interest extractor, and the two-layer baseline's second recurrence) run
+    on the batch's distinct histories: "behaviors" and "mask" hold one row
+    per history, and the pooled vector and the states are gathered out per
+    row.  The attention, the evolution cell, the head and both losses stay
+    per row.
     """
-    items_e = model.item_table.lookup_many(_by_history(batch, batch.item_ids))
-    cats_e = model.cat_table.lookup_many(_by_history(batch, batch.cat_ids))
+    items_e = model.item_table.lookup_many(batch.history_items)
+    cats_e = model.cat_table.lookup_many(batch.history_cats)
     behaviors = np.concatenate([items_e, cats_e], axis=2)
     targets = np.concatenate([
         model.item_table.lookup_many(batch.target_items),
         model.cat_table.lookup_many(batch.target_cats),
     ], axis=1)
-    n_rows, width = batch.item_ids.shape
-    mask = step_masks(batch.valid, n_rows, width)
+    n_rows = batch.labels.size
+    n_histories, width = batch.history_items.shape
+    mask = step_masks(batch.history_lens, n_histories, width)
+    lens = _by_row(batch, batch.history_lens)
     ctx: dict = {"batch": batch, "behaviors": behaviors, "targets": targets,
                  "mask": mask, "variant": model.variant}
 
     if model.variant is ModelVariant.BASE:
-        pooled = (behaviors * _by_history(batch, mask)[:, :, None]).sum(axis=1)
+        pooled = (behaviors * mask[:, :, None]).sum(axis=1)
         feats = np.concatenate([_by_row(batch, pooled), targets], axis=1)
     else:
-        lens = _by_history(batch, batch.valid)
-        states1, cache1 = gru_forward(model.extractor, behaviors, lens)
+        states1, cache1 = gru_forward(model.extractor, behaviors, batch.history_lens)
         two_layer = model.variant is ModelVariant.TWO_LAYER_GRU_ATT
         if two_layer:
-            states2, cache2 = gru_forward(model.evolver, states1, lens)
+            states2, cache2 = gru_forward(model.evolver, states1, batch.history_lens)
             states2 = _by_row(batch, states2)
             ctx.update(states2=states2, cache2=cache2)
         states1 = _by_row(batch, states1)
         ctx["states1"], ctx["cache1"] = states1, cache1
         scores, acache = attention_forward(states2 if two_layer else states1, targets,
-                                           model.attention, batch.valid)
+                                           model.attention, lens)
         ctx.update(scores=scores, acache=acache)
         if two_layer:
             interest = (scores[:, :, None] * states2).sum(axis=1)
         else:
             evolved, ecache = evolve_forward(
-                model.evolver, states1, scores, batch.valid, model.variant.evolution_cell
+                model.evolver, states1, scores, lens, model.variant.evolution_cell
             )
             interest = evolved[:, -1]
             ctx.update(evolved=evolved, ecache=ecache)
@@ -519,8 +521,8 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None) -> dict:
             model.cat_table.lookup_many(neg_cats),
         ], axis=2)
         h = ctx["states1"][:, :-1]
-        pos_e = _by_row(batch, behaviors)[:, 1:]
-        mask_next = mask[:, 1:]
+        pos_e = _by_row(batch, behaviors[:, 1:])
+        mask_next = _by_row(batch, mask[:, 1:])
         s_pos = np.einsum("btn,btn->bt", h, pos_e)
         s_neg = np.einsum("btn,btn->bt", h, neg_e)
         per_step = log_sigmoid(s_pos) + log_sigmoid(-s_neg)
@@ -557,13 +559,14 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
 
     Dense gradients come back keyed like param_arrays(); embedding gradients
     accumulate into the tables' summed rows (zero them first).  Padding ids
-    receive nothing.  The target-free recurrences ran once per distinct
-    history, so their state gradients are summed per history first; the
-    embedding gradient of a history's behaviors goes to its first row.
+    receive nothing.  The target-free work ran once per distinct history,
+    so every row's gradient of it (the pooled vector's, or the extractor
+    states' with the next-behavior loss's) is summed per history before the
+    one extractor backward and the behavior embeddings.
     """
     batch: Batch = ctx["batch"]
     d = model.embed_dim
-    n_rows, width = batch.item_ids.shape
+    n_rows = batch.labels.size
     y = batch.labels
     d_logits = (ctx["probs"] - y) / n_rows
     mlp_grads, d_feats = mlp_backward(model.mlp, ctx["mcache"], d_logits)
@@ -574,7 +577,7 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
     sources = []  # embedding gradients: masked negatives, behaviors, targets
 
     if model.variant is ModelVariant.BASE:
-        d_behaviors = ctx["mask"][:, :, None] * d_interest[:, None, :]
+        d_behaviors = ctx["mask"][:, :, None] * _sum_by_history(batch, d_interest)[:, None, :]
     else:
         if model.variant is ModelVariant.TWO_LAYER_GRU_ATT:
             states2, scores = ctx["states2"], ctx["scores"]
@@ -586,7 +589,6 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
             evolver_grads, d_states1 = gru_backward(
                 model.evolver, ctx["cache2"], _sum_by_history(batch, d_states2 + d_states2_att)
             )
-            d_states1 = _on_first_rows(batch, d_states1)
         else:
             d_evolved = np.zeros_like(ctx["evolved"])
             d_evolved[:, -1] = d_interest
@@ -596,7 +598,7 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
             d_w, d_states1_att, d_targets_att = attention_backward(
                 model.attention, ctx["acache"], d_scores
             )
-            d_states1 = d_states1 + d_states1_att
+            d_states1 = _sum_by_history(batch, d_states1 + d_states1_att)
         grads["attention.w"] = d_w
         d_targets += d_targets_att
         for name, arr in evolver_grads.items():
@@ -611,20 +613,18 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
             d_spos = scale * sigmoid(-ctx["s_pos"]) * m
             d_sneg = -scale * sigmoid(ctx["s_neg"]) * m
             h = ctx["states1"][:, :-1]
-            d_states1[:, :-1] += (d_spos[:, :, None] * ctx["pos_e"]
-                                  + d_sneg[:, :, None] * ctx["neg_e"])
-            d_behaviors_extra = d_spos[:, :, None] * h
+            d_states1[:, :-1] += _sum_by_history(batch, d_spos[:, :, None] * ctx["pos_e"]
+                                                 + d_sneg[:, :, None] * ctx["neg_e"])
+            d_behaviors_extra = _sum_by_history(batch, d_spos[:, :, None] * h)
             sources.append((ctx["neg_items"], ctx["neg_cats"], d_sneg[:, :, None] * h, m))
 
-        extractor_grads, d_behaviors = gru_backward(
-            model.extractor, ctx["cache1"], _sum_by_history(batch, d_states1))
-        d_behaviors = _on_first_rows(batch, d_behaviors)
+        extractor_grads, d_behaviors = gru_backward(model.extractor, ctx["cache1"], d_states1)
         if d_behaviors_extra is not None:
             d_behaviors[:, 1:] += d_behaviors_extra
         for name, arr in extractor_grads.items():
             grads[f"extractor.{name}"] = arr
 
-    sources += [(batch.item_ids, batch.cat_ids, d_behaviors, ctx["mask"]),
+    sources += [(batch.history_items, batch.history_cats, d_behaviors, ctx["mask"]),
                 (batch.target_items, batch.target_cats, d_targets, np.ones(n_rows, dtype=bool))]
     _accumulate_embeddings(model, sources)
     return grads

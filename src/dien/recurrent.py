@@ -57,22 +57,12 @@ class GruParams:
 
     def __post_init__(self):
         n_hidden, n_input = np.shape(self.w_update)
-        expected = {
-            "w_update": (n_hidden, n_input),
-            "u_update": (n_hidden, n_hidden),
-            "b_update": (n_hidden,),
-            "w_reset": (n_hidden, n_input),
-            "u_reset": (n_hidden, n_hidden),
-            "b_reset": (n_hidden,),
-            "w_cand": (n_hidden, n_input),
-            "u_cand": (n_hidden, n_hidden),
-            "b_cand": (n_hidden,),
-        }
-        for name, shape in expected.items():
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+        expected = {"w": (n_hidden, n_input), "u": (n_hidden, n_hidden), "b": (n_hidden,)}
+        for f in fields(self):
+            arr, shape = np.asarray(getattr(self, f.name), dtype=np.float64), expected[f.name[0]]
             if arr.shape != shape:
-                raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
-            setattr(self, name, arr)
+                raise ShapeError(f"{f.name} has shape {arr.shape}, expected {shape}")
+            setattr(self, f.name, arr)
 
     @property
     def n_hidden(self) -> int:

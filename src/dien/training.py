@@ -184,7 +184,7 @@ def train(corpus: Corpus, config: TrainConfig) -> tuple[DienModel, list[CurveRec
             rows = order[start:start + config.batch_size]
             batch = make_batch([instances[i] for i in rows])
             negatives = None
-            if want_aux and batch.item_ids.shape[1] > 1:
+            if want_aux and batch.history_items.shape[1] > 1:
                 neg_items = draw_negative_items(rng, vocab, batch.item_ids[:, 1:])
                 negatives = (neg_items, corpus.item_cats[neg_items])
             ctx = forward_batch(model, batch, negatives)
@@ -283,7 +283,7 @@ def grad_check(config: TrainConfig, tolerance: float = 1e-4,
     rng = np.random.default_rng([config.seed, 2])
     batch = make_batch(_toy_instances(rng, n_items, n_cats))
     negatives = None
-    if config.variant.wants_aux and config.alpha > 0 and batch.item_ids.shape[1] > 1:
+    if config.variant.wants_aux and config.alpha > 0 and batch.history_items.shape[1] > 1:
         neg_items = draw_negative_items(rng, n_items, batch.item_ids[:, 1:])
         neg_cats = (neg_items - 1) % (n_cats - 1) + 1
         negatives = (neg_items, neg_cats)

@@ -342,6 +342,50 @@ class TestNegativeSeed:
         assert not (tmp_path / "out").exists()
 
 
+class TestOversizedSizes:
+    """A size past what numpy can hold is a bad setting, and an allocation
+    the machine cannot make is a runtime failure: one line either way, not a
+    traceback from numpy."""
+
+    @pytest.mark.parametrize("argv, expect", [
+        (["train", "--embed-dim", str(10**20)], "more than one float64 array can hold"),
+        (["train", "--embed-dim", str(2**62)], "more than one float64 array can hold"),
+        (["train", "--mlp-hidden", str(2**62)], "more than one float64 array can hold"),
+        (["train", "--embed-dim", str(10**12)], "more than one float64 array can hold"),
+        (["synth", "--n-users", "2", "--n-items", str(10**20)], "more than an int64 id"),
+        (["synth", "--n-users", "2", "--n-cats", str(10**20), "--n-items", str(10**21)],
+         "more than an int64 id"),
+    ])
+    def test_exit_1_with_one_line(self, argv, expect, corpus_dir, tmp_path, capsys):
+        if argv[0] == "train":
+            argv = [*argv, "--corpus", str(corpus_dir / "corpus.tsv")]
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("ERROR ") and expect in err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_allocation_exits_2_with_one_line(self, corpus_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        # a 10**12 x 201 table fits a numpy array but not the machine
+        def unable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.43 PiB for an array")
+
+        monkeypatch.setattr(dien.model, "EmbeddingTable", unable)
+        rc = main(["train", "--variant", "base", "--embed-dim", str(10**12),
+                   "--corpus", str(corpus_dir / "corpus.tsv"), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert err.splitlines() == ["ERROR out of memory: Unable to allocate 1.43 PiB for an array"]
+
+    def test_largest_item_count_still_generates(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["synth", "--n-users", "2", "--n-items", str(2**62), "--out", str(out)]) == 0
+        assert len((out / "corpus.tsv").read_text().splitlines()) == 4
+
+
 def test_library_trains_the_cli_checkpoint(tmp_path):
     # the generated corpus in memory is the one `dien train` parses back
     assert main(["synth", "--n-users", "300", "--seed", "3",

@@ -1,5 +1,5 @@
-"""Property tests of the batched engine: the score of a row does not depend
-on the rows scored beside it.
+"""Property tests of the batched engine: a batch holds each distinct history
+once, and the score of a row does not depend on the rows scored beside it.
 
 Batches are built from click/non-click pairs, as a corpus holds them, so the
 extractor runs once per pair.  Runs derandomized and without an example
@@ -17,6 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 from dien.data import Instance  # noqa: E402
+from dien.embedding import PAD_ID  # noqa: E402
 from dien.model import DienModel, ModelVariant, forward_batch, make_batch  # noqa: E402
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "dien-hypothesis")
@@ -66,3 +67,36 @@ def test_chunks_and_single_rows_agree_with_the_whole_batch(case):
     alone = np.array([probs(model, [row])[0] for row in rows])
     np.testing.assert_allclose(chunked, whole, rtol=0.0, atol=ALONE_TOLERANCE)
     np.testing.assert_allclose(alone, whole, rtol=0.0, atol=ALONE_TOLERANCE)
+
+
+@st.composite
+def rows_with_repeats(draw):
+    """Rows drawn again and again from a few histories, in any order."""
+    history = st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(1, N_ITEMS - 1), min_size=n, max_size=n).map(tuple),
+        st.lists(st.integers(1, N_CATS - 1), min_size=n, max_size=n).map(tuple)))
+    pool = draw(st.lists(history, min_size=1, max_size=6))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+    return [Instance(items, cats, 1, 1, k % 2) for k, (items, cats) in enumerate(picks)]
+
+
+def padded(histories, width: int) -> np.ndarray:
+    return np.array([list(h) + [PAD_ID] * (width - len(h)) for h in histories])
+
+
+@PROPERTY
+@given(rows_with_repeats())
+def test_each_distinct_history_is_held_once_in_first_appearance_order(rows):
+    batch = make_batch(rows)
+    keys = [(row.history_items, row.history_cats) for row in rows]
+    distinct = list(dict.fromkeys(keys))
+    width = max(len(items) for items, _ in keys)
+    np.testing.assert_array_equal(batch.history_items, padded([i for i, _ in distinct], width))
+    np.testing.assert_array_equal(batch.history_cats, padded([c for _, c in distinct], width))
+    np.testing.assert_array_equal(batch.history_lens, [len(i) for i, _ in distinct])
+    np.testing.assert_array_equal(batch.history_of, [distinct.index(key) for key in keys])
+    np.testing.assert_array_equal(batch.first_rows, [keys.index(key) for key in distinct])
+    np.testing.assert_array_equal(batch.history_of[batch.first_rows], np.arange(len(distinct)))
+    # the per-row views are a naive padding of every row
+    np.testing.assert_array_equal(batch.item_ids, padded([i for i, _ in keys], width))
+    np.testing.assert_array_equal(batch.cat_ids, padded([c for _, c in keys], width))

@@ -195,7 +195,7 @@ class TestModelScores:
         chunks = self.recorded_chunks(monkeypatch, rows)
         model_scores(model, rows)
         assert sorted(k for positions, _ in chunks for k in positions) == list(range(len(rows)))
-        sizes = [(batch.valid.size, batch.item_ids.shape[1]) for _, batch in chunks]
+        sizes = [(batch.labels.size, batch.item_ids.shape[1]) for _, batch in chunks]
         assert all(n <= EVAL_CHUNK and n * width <= EVAL_CELLS for n, width in sizes)
         # longest histories first, and every chunk but the last fills its budget
         floor = EVAL_CELLS // EVAL_CHUNK

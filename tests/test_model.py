@@ -248,8 +248,9 @@ class TestBaseForward:
 
     def test_empty_history_still_in_open_interval(self):
         model = build(ModelVariant.BASE)
-        empty = Batch(item_ids=np.zeros((1, 1), dtype=np.int64),
-                      cat_ids=np.zeros((1, 1), dtype=np.int64), valid=np.array([0]),
+        empty = Batch(history_items=np.zeros((1, 1), dtype=np.int64),
+                      history_cats=np.zeros((1, 1), dtype=np.int64),
+                      history_lens=np.array([0]),
                       target_items=np.array([1]), target_cats=np.array([1]),
                       labels=np.array([1.0]), history_of=np.arange(1),
                       first_rows=np.arange(1))
@@ -427,7 +428,7 @@ class TestBatching:
         batch = make_batch(insts)
         assert batch.item_ids.shape == (2, 4)
         np.testing.assert_array_equal(batch.item_ids[0, 2:], [0, 0])
-        np.testing.assert_array_equal(batch.valid, [2, 4])
+        np.testing.assert_array_equal(batch.history_lens, [2, 4])
 
     def test_make_batch_guards(self):
         with pytest.raises(UsageError):
@@ -446,7 +447,7 @@ class TestBatching:
         np.testing.assert_array_equal(batch.history_of, [0, 0, 1, 0])
         np.testing.assert_array_equal(batch.first_rows, [0, 2])
         np.testing.assert_array_equal(batch.item_ids[3], batch.item_ids[0])
-        np.testing.assert_array_equal(batch.valid, [3, 3, 1, 3])
+        np.testing.assert_array_equal(batch.history_lens[batch.history_of], [3, 3, 1, 3])
         # the same items in other categories are another history
         recat = Instance(insts[0].history_items, tuple(c % (N_CATS - 1) + 1
                                                        for c in insts[0].history_cats),
@@ -536,8 +537,9 @@ class TestBatchedEngineAgreement:
         insts = self.batch_rows(rng)
         numbered = make_batch(insts)
         rows = np.arange(len(insts))
-        plain = Batch(item_ids=numbered.item_ids, cat_ids=numbered.cat_ids,
-                      valid=numbered.valid, target_items=numbered.target_items,
+        plain = Batch(history_items=numbered.item_ids, history_cats=numbered.cat_ids,
+                      history_lens=numbered.history_lens[numbered.history_of],
+                      target_items=numbered.target_items,
                       target_cats=numbered.target_cats, labels=numbered.labels,
                       history_of=rows, first_rows=rows)
         assert not plain.repeats
@@ -553,8 +555,11 @@ class TestBatchedEngineAgreement:
         rng = np.random.default_rng(109)
         model = build(variant, seed=19)
         numbered = make_batch(self.batch_rows(rng))
-        rows = np.arange(numbered.valid.size)
-        plain = dataclasses.replace(numbered, history_of=rows, first_rows=rows)
+        rows = np.arange(numbered.labels.size)
+        plain = dataclasses.replace(numbered, history_items=numbered.item_ids,
+                                    history_cats=numbered.cat_ids,
+                                    history_lens=numbered.history_lens[numbered.history_of],
+                                    history_of=rows, first_rows=rows)
         neg_items = draw_negative_items(rng, N_ITEMS, numbered.item_ids[:, 1:])
         negatives = (neg_items, (neg_items - 1) % (N_CATS - 1) + 1)
         grads, tables = [], []
@@ -603,27 +608,32 @@ class TestBatchedEngineAgreement:
 
     def test_one_accumulate_call_per_table_in_order(self, monkeypatch):
         # each id's rows sum in input order, so the order is part of the
-        # arithmetic: masked negatives, then masked behaviors, then targets
+        # arithmetic: masked negatives, then masked behaviors, then targets;
+        # the behaviors are each distinct history's ids, once
         rng = np.random.default_rng(106)
         model = build(ModelVariant.DIEN, seed=16)
-        batch = make_batch([rand_instance(rng, length=int(n)) for n in (5, 2, 1)])
-        neg_items = draw_negative_items(rng, N_ITEMS, batch.item_ids[:, 1:])
-        neg_cats = (neg_items - 1) % (N_CATS - 1) + 1
-        ctx = forward_batch(model, batch, negatives=(neg_items, neg_cats))
-        calls = []
-        monkeypatch.setattr(model.item_table, "accumulate_grad_many",
-                            lambda ids, grads: calls.append(("item", ids, grads.shape)))
-        monkeypatch.setattr(model.cat_table, "accumulate_grad_many",
-                            lambda ids, grads: calls.append(("cat", ids, grads.shape)))
-        model_backward(model, ctx)
-        keep, keep_next = ctx["mask"].astype(bool), ctx["mask_next"].astype(bool)
-        assert [name for name, *_ in calls] == ["item", "cat"]
-        for (_, ids, shape), negs, behaviors, targets in zip(
-                calls, (neg_items, neg_cats), (batch.item_ids, batch.cat_ids),
-                (batch.target_items, batch.target_cats)):
-            np.testing.assert_array_equal(
-                ids, np.concatenate([negs[keep_next], behaviors[keep], targets]))
-            assert shape == (ids.size, 3)
+        insts = [rand_instance(rng, length=int(n)) for n in (5, 2, 1)]
+        for rows in (insts, [*insts[:2], with_target(rng, insts[0]), insts[2]]):
+            batch = make_batch(rows)
+            neg_items = draw_negative_items(rng, N_ITEMS, batch.item_ids[:, 1:])
+            neg_cats = (neg_items - 1) % (N_CATS - 1) + 1
+            ctx = forward_batch(model, batch, negatives=(neg_items, neg_cats))
+            calls = []
+            monkeypatch.setattr(model.item_table, "accumulate_grad_many",
+                                lambda ids, grads: calls.append(("item", ids, grads.shape)))
+            monkeypatch.setattr(model.cat_table, "accumulate_grad_many",
+                                lambda ids, grads: calls.append(("cat", ids, grads.shape)))
+            model_backward(model, ctx)
+            keep, keep_next = ctx["mask"].astype(bool), ctx["mask_next"].astype(bool)
+            assert keep.shape[0] == batch.first_rows.size == 3
+            assert keep_next.shape[0] == len(rows)
+            assert [name for name, *_ in calls] == ["item", "cat"]
+            for (_, ids, shape), negs, behaviors, targets in zip(
+                    calls, (neg_items, neg_cats), (batch.history_items, batch.history_cats),
+                    (batch.target_items, batch.target_cats)):
+                np.testing.assert_array_equal(
+                    ids, np.concatenate([negs[keep_next], behaviors[keep], targets]))
+                assert shape == (ids.size, 3)
 
 
 class TestCheckpoint:
