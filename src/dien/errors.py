@@ -19,8 +19,8 @@ class VocabularyError(DienError, ValueError):
 
 
 class DomainError(DienError, ValueError):
-    """Scalar argument outside its mathematical domain (e.g. a gate score
-    outside [0, 1], a negative step size)."""
+    """Scalar argument outside its mathematical domain (e.g. a history
+    length below 1, a finite-difference step that is not positive)."""
 
 
 class ConfigError(DienError, ValueError):
@@ -42,7 +42,8 @@ class NumericError(DienError, ArithmeticError):
 
 
 class UsageError(DienError, RuntimeError):
-    """API misuse: empty batch, missing cached forward context, and similar."""
+    """API misuse: an empty batch, a gradient check past its parameter
+    budget, and similar."""
 
 
 class DivergenceError(DienError, RuntimeError):

@@ -103,6 +103,8 @@ def model_scores(model: DienModel, instances: list) -> np.ndarray:
 
 def evaluate(model: DienModel, instances: list, max_history: int = 50) -> EvalReport:
     """Score one model over instances and wrap the single-run report."""
+    if max_history < 1:
+        raise ConfigError(f"max_history must be at least 1, got {max_history}")
     if not instances:
         raise DegenerateError("no instances to score")
     instances = [truncate_history(inst, max_history) for inst in instances]

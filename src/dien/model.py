@@ -36,6 +36,7 @@ from .recurrent import (
     AUGRU,
     AttentionParams,
     GruParams,
+    gru_shapes,
     step_masks,
     attention_backward,
     attention_forward,
@@ -111,10 +112,6 @@ class MlpParams:
         if self.weights[-1].shape[0] != 1:
             raise ShapeError("final layer must produce a single logit")
 
-    @property
-    def n_input(self) -> int:
-        return self.weights[0].shape[1]
-
     @classmethod
     def init(cls, widths, rng: np.random.Generator) -> "MlpParams":
         """widths = [input, hidden..., 1], seeded uniform +-1/sqrt(fan_in)."""
@@ -137,11 +134,6 @@ class MlpParams:
 
 def mlp_forward(mlp: MlpParams, feats: np.ndarray):
     """ReLU stack over (B, n_input) features; returns ((B,) logits, cache)."""
-    feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[1] != mlp.n_input:
-        raise ConfigError(
-            f"feature width {feats.shape[-1]} does not match head input {mlp.n_input}"
-        )
     x = feats
     pre_acts, layer_ins = [], []
     last = len(mlp.weights) - 1
@@ -150,16 +142,14 @@ def mlp_forward(mlp: MlpParams, feats: np.ndarray):
         z = x @ w.T + b
         pre_acts.append(z)
         x = z if i == last else np.maximum(z, 0.0)
-    cache = {"kind": "mlp", "ins": layer_ins, "pre": pre_acts}
+    cache = {"ins": layer_ins, "pre": pre_acts}
     return x[:, 0], cache
 
 
 def mlp_backward(mlp: MlpParams, cache, d_logits):
     """Backward through mlp_forward; returns (grads dict, d_features)."""
-    if not isinstance(cache, dict) or cache.get("kind") != "mlp":
-        raise UsageError("mlp_backward needs the cache produced by mlp_forward")
     grads = {}
-    d = np.asarray(d_logits, dtype=np.float64)[:, None]
+    d = d_logits[:, None]
     last = len(mlp.weights) - 1
     for i in range(last, -1, -1):
         if i != last:
@@ -184,6 +174,25 @@ def _nonnegative_float(value) -> float:
     if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
         raise ValueError(f"{value!r} is not a finite, nonnegative number")
     return float(value)
+
+
+def array_layout(variant: ModelVariant, item_vocab: int, cat_vocab: int, embed_dim: int,
+                 hidden_size: int, mlp_hidden) -> tuple[list, list]:
+    """The head's widths, input first, and the (name, shape) of every array
+    of the model DienModel.build makes from these sizes, in checkpoint order."""
+    behavior_width = 2 * embed_dim
+    interest_width = hidden_size if variant.recurrent else behavior_width
+    widths = [interest_width + behavior_width, *mlp_hidden, 1]
+    layout = [("item_emb", (embed_dim, item_vocab)), ("cat_emb", (embed_dim, cat_vocab))]
+    if variant.recurrent:
+        groups = {"extractor": gru_shapes(behavior_width, hidden_size),
+                  "evolver": gru_shapes(hidden_size, hidden_size),
+                  "attention": {"w": (hidden_size, behavior_width)}}
+        layout += [(f"{group}.{name}", shape) for group, shapes in groups.items()
+                   for name, shape in shapes.items()]
+    for k, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        layout += [(f"mlp.w{k}", (fan_out, fan_in)), (f"mlp.b{k}", (fan_out,))]
+    return widths, layout
 
 
 class DienModel:
@@ -224,16 +233,13 @@ class DienModel:
                 f"hidden_size must equal the behavior width {behavior_width} "
                 f"(item + category embedding), got {hidden_size}"
             )
-        interest_width = hidden_size if variant.recurrent else behavior_width
-        widths = [interest_width + behavior_width, *mlp_hidden, 1]
+        widths, layout = array_layout(variant, item_vocab, cat_vocab, embed_dim,
+                                      hidden_size, mlp_hidden)
         # counted in Python ints, before numpy meets a size it cannot hold
-        shapes = [(embed_dim, item_vocab), (embed_dim, cat_vocab), *zip(widths[1:], widths)]
-        if variant.recurrent:
-            shapes += [(hidden_size, behavior_width), (hidden_size, hidden_size)]
-        for shape in shapes:
+        for name, shape in layout:
             if math.prod(shape) > np.iinfo(np.intp).max // 8:
-                raise ConfigError(f"a {shape[0]} x {shape[1]} parameter array is more "
-                                  "than one float64 array can hold")
+                raise ConfigError(f"{name} of shape {shape} is more than one float64 "
+                                  "array can hold")
         rng = np.random.default_rng(seed)
         item_table = EmbeddingTable(item_vocab, embed_dim, rng=rng)
         cat_table = EmbeddingTable(cat_vocab, embed_dim, rng=rng)
@@ -321,28 +327,21 @@ class DienModel:
             item_vocab, cat_vocab = field("item_vocab", _size), field("cat_vocab", _size)
             hidden_size = field("hidden_size", _size)
             widths = field("mlp_widths", lambda v: list(map(_size, v)))
-            # every size build allocates from is a listed shape, which the
-            # byte count above bounds by the file's size
-            header_shapes = {"item_emb": (embed_dim, item_vocab),
-                             "cat_emb": (embed_dim, cat_vocab)}
-            if variant.recurrent:
-                header_shapes["extractor.w_update"] = (hidden_size, 2 * embed_dim)
-            for k in range(len(widths) - 1):
-                header_shapes[f"mlp.w{k}"] = (widths[k + 1], widths[k])
-            shapes = dict(listed)
-            for name, shape in header_shapes.items():
-                if shapes.get(name) != shape:
-                    raise ParseError(f"{path}: header dimensions give {name} shape {shape}, "
-                                     f"the arrays list gives {shapes.get(name, 'no shape')}")
+            # one comparison with the arrays build makes from the header's
+            # sizes, before it allocates them: the byte count above bounds
+            # each listed array by the file's size
+            model_widths, layout = array_layout(variant, item_vocab, cat_vocab, embed_dim,
+                                                hidden_size, widths[1:-1])
+            if widths != model_widths:
+                raise ParseError(f"{path}: header mlp_widths {widths}, the other header "
+                                 f"sizes give {model_widths}")
+            if listed != layout:
+                k, got, want = next((k, a, b) for k, (a, b) in enumerate(
+                    zip_longest(listed, layout, fillvalue="nothing")) if a != b)
+                raise ParseError(f"{path}: array {k} is {got}, the model expects {want}")
             model = cls.build(variant, item_vocab, cat_vocab, embed_dim, hidden_size,
                               widths[1:-1], field("alpha", _nonnegative_float), seed=0)
-            arrays = model.all_arrays()
-            expected = [(name, arr.shape) for name, arr in arrays.items()]
-            if listed != expected:
-                k, got, want = next((k, a, b) for k, (a, b) in enumerate(
-                    zip_longest(listed, expected, fillvalue="nothing")) if a != b)
-                raise ParseError(f"{path}: array {k} is {got}, the model expects {want}")
-            for name, arr in arrays.items():
+            for name, arr in model.all_arrays().items():
                 arr[...] = np.frombuffer(fh.read(arr.nbytes), dtype="<f8").reshape(arr.shape)
                 if not np.all(np.isfinite(arr)):
                     raise ParseError(f"{path}: array {name!r} holds non-finite values")

@@ -24,6 +24,11 @@ is visited in its own order, every row at every step.
 Backward passes are hand-derived and consume the per-step gate values
 cached during the forward pass; the finite-difference harness in
 `training` is the safety net for every derivative here.
+
+The layer functions take only what the engine in `model` builds (float64
+arrays of matching widths, a valid step in every row the attention scores,
+the cache of their own forward pass) and re-check none of it: each input
+is checked once, where it enters the program.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateError, DomainError, ShapeError, UsageError
+from .errors import ShapeError
 from .numerics import sigmoid
 
 AIGRU = "aigru"  # attention scales the cell input
@@ -57,34 +62,22 @@ class GruParams:
 
     def __post_init__(self):
         n_hidden, n_input = np.shape(self.w_update)
-        expected = {"w": (n_hidden, n_input), "u": (n_hidden, n_hidden), "b": (n_hidden,)}
-        for f in fields(self):
-            arr, shape = np.asarray(getattr(self, f.name), dtype=np.float64), expected[f.name[0]]
+        for name, shape in gru_shapes(n_input, n_hidden).items():
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
-                raise ShapeError(f"{f.name} has shape {arr.shape}, expected {shape}")
-            setattr(self, f.name, arr)
+                raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
+            setattr(self, name, arr)
 
     @property
     def n_hidden(self) -> int:
         return self.w_update.shape[0]
 
-    @property
-    def n_input(self) -> int:
-        return self.w_update.shape[1]
-
     @classmethod
     def init(cls, n_input: int, n_hidden: int, rng: np.random.Generator) -> "GruParams":
-        """Seeded uniform init in [-1/sqrt(n_hidden), 1/sqrt(n_hidden)]."""
+        """Seeded uniform init in +-1/sqrt(n_hidden), drawn in field order."""
         bound = 1.0 / np.sqrt(n_hidden)
-
-        def u(*shape):
-            return rng.uniform(-bound, bound, size=shape)
-
-        return cls(
-            w_update=u(n_hidden, n_input), u_update=u(n_hidden, n_hidden), b_update=u(n_hidden),
-            w_reset=u(n_hidden, n_input), u_reset=u(n_hidden, n_hidden), b_reset=u(n_hidden),
-            w_cand=u(n_hidden, n_input), u_cand=u(n_hidden, n_hidden), b_cand=u(n_hidden),
-        )
+        return cls(**{name: rng.uniform(-bound, bound, size=shape)
+                      for name, shape in gru_shapes(n_input, n_hidden).items()})
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Field-order mapping of parameter names to live arrays."""
@@ -92,6 +85,13 @@ class GruParams:
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(arr) for name, arr in self.arrays().items()}
+
+
+def gru_shapes(n_input: int, n_hidden: int) -> dict[str, tuple]:
+    """Field-order mapping of a cell's parameter names to their shapes, read
+    from each name's prefix: w, u or b."""
+    by_prefix = {"w": (n_hidden, n_input), "u": (n_hidden, n_hidden), "b": (n_hidden,)}
+    return {f.name: by_prefix[f.name[0]] for f in fields(GruParams)}
 
 
 @dataclass
@@ -241,27 +241,13 @@ def _recur_backward(params: GruParams, cache, d_states):
     return grads, d_inputs, d_scores
 
 
-def _as_sequence(params: GruParams, inputs) -> np.ndarray:
-    """`inputs` as a float64 (batch, steps >= 1, n_input) array."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 3 or inputs.shape[1] == 0:
-        raise ShapeError(f"inputs must be (batch, steps, width), got {inputs.shape}")
-    if inputs.shape[2] != params.n_input:
-        raise ShapeError(
-            f"input width {inputs.shape[2]} does not match cell input size {params.n_input}"
-        )
-    return inputs
-
-
 def gru_forward(params: GruParams, inputs, valid_lens):
     """Run the plain cell over (B, T, n_input) inputs with per-row lengths.
 
     Returns the (B, T, n_hidden) states and the cache the backward pass
     needs; rows past their valid length repeat their last state.
     """
-    states, cache = _recur(params, _as_sequence(params, inputs), valid_lens)
-    cache["kind"] = "gru"
-    return states, cache
+    return _recur(params, inputs, valid_lens)
 
 
 def gru_backward(params: GruParams, cache, d_states):
@@ -270,9 +256,7 @@ def gru_backward(params: GruParams, cache, d_states):
     d_states holds the upstream gradient on every hidden state.  Returns
     (parameter grads, d_inputs).
     """
-    if not isinstance(cache, dict) or cache.get("kind") != "gru":
-        raise UsageError("gru_backward needs the cache produced by gru_forward")
-    grads, d_inputs, _ = _recur_backward(params, cache, np.asarray(d_states, dtype=np.float64))
+    grads, d_inputs, _ = _recur_backward(params, cache, d_states)
     return grads, d_inputs
 
 
@@ -286,22 +270,11 @@ def evolve_forward(params: GruParams, states, scores, valid_lens, variant: str):
     `evolved[:, -1]` is each row's final state (the zero state for a row of
     length 0).  Returns (evolved states, cache).
     """
-    if variant not in EVOLUTION_VARIANTS:
-        raise ConfigError(f"unknown evolution variant {variant!r}")
-    states = _as_sequence(params, states)
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != states.shape[:2]:
-        raise ShapeError(
-            f"scores shape {scores.shape} does not match states shape {states.shape}"
-        )
-    if np.any(scores < 0.0) or np.any(scores > 1.0):
-        raise DomainError(f"attention score outside [0, 1]: {scores!r}")
     if variant == AIGRU:
         evolved, cache = _recur(params, states * scores[..., None], valid_lens)
-    else:
-        evolved, cache = _recur(params, states, valid_lens, scores, variant)
-    cache.update(kind="evolve", variant=variant, states=states, scores=scores)
-    return evolved, cache
+        cache.update(states=states, scores=scores)
+        return evolved, cache
+    return _recur(params, states, valid_lens, scores, variant)
 
 
 def evolve_backward(params: GruParams, cache, d_evolved):
@@ -309,14 +282,12 @@ def evolve_backward(params: GruParams, cache, d_evolved):
 
     d_evolved holds the upstream gradient on every evolved state.  Returns
     (parameter grads, gradient on the interest states, gradient on the
-    scores).  For the input-scaling cell the score gradient comes through
-    the scaled inputs; the other cells return it from the loop.
+    scores).  For the input-scaling cell, which ran the plain loop, the
+    score gradient comes through the scaled inputs; the other cells return
+    it from the loop.
     """
-    if not isinstance(cache, dict) or cache.get("kind") != "evolve":
-        raise UsageError("evolve_backward needs the cache produced by evolve_forward")
-    grads, d_inputs, d_scores = _recur_backward(
-        params, cache, np.asarray(d_evolved, dtype=np.float64))
-    if cache["variant"] == AIGRU:
+    grads, d_inputs, d_scores = _recur_backward(params, cache, d_evolved)
+    if cache["cell"] is None:
         d_scores = (d_inputs * cache["states"]).sum(axis=2)
         d_inputs = d_inputs * cache["scores"][..., None]
     return grads, d_inputs, d_scores
@@ -328,26 +299,15 @@ def attention_forward(states, targets, params: AttentionParams, valid_lens):
     Logit for step t is h_t . (W e_a); weights are a masked softmax over the
     valid steps of each row, zero elsewhere.
     """
-    states = np.asarray(states, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    batch, steps, n_h = states.shape
-    lens = np.asarray(valid_lens, dtype=np.int64).reshape(batch)
-    if np.any(lens < 1):
-        raise DegenerateError("attention needs at least one valid step per row")
-    if targets.shape != (batch, params.w.shape[1]):
-        raise ShapeError(
-            f"target shape {targets.shape} does not match attention weight "
-            f"{params.w.shape}"
-        )
+    batch, steps, _ = states.shape
     proj = targets @ params.w.T  # (B, n_hidden)
     logits = np.einsum("btn,bn->bt", states, proj)
-    mask = step_masks(lens, batch, steps)
+    mask = step_masks(valid_lens, batch, steps)
     shifted = np.where(mask > 0.0, logits, -np.inf)
     mx = shifted.max(axis=1, keepdims=True)
     e = np.exp(shifted - mx) * mask
     scores = e / e.sum(axis=1, keepdims=True)
-    cache = {"kind": "attention", "states": states, "targets": targets,
-             "proj": proj, "scores": scores}
+    cache = {"states": states, "targets": targets, "proj": proj, "scores": scores}
     return scores, cache
 
 
@@ -356,11 +316,8 @@ def attention_backward(params: AttentionParams, cache, d_scores):
 
     Returns (d_w, d_states, d_targets).
     """
-    if not isinstance(cache, dict) or cache.get("kind") != "attention":
-        raise UsageError("attention_backward needs the cache from attention_forward")
     scores = cache["scores"]
     states = cache["states"]
-    d_scores = np.asarray(d_scores, dtype=np.float64)
     # softmax rows: d_logit = s * (d - sum(s * d)); masked entries have s = 0
     inner = (scores * d_scores).sum(axis=1, keepdims=True)
     d_logits = scores * (d_scores - inner)

@@ -9,6 +9,7 @@ the batch.  Two runs with the same inputs produce bit-identical models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .errors import ConfigError, DivergenceError, ShapeError, UsageError
 from .model import (
     DienModel,
     ModelVariant,
+    array_layout,
     draw_negative_items,
     forward_batch,
     make_batch,
@@ -270,16 +272,16 @@ def grad_check(config: TrainConfig, tolerance: float = 1e-4,
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ConfigError(f"epsilon must be finite and positive, got {epsilon}")
     n_items, n_cats = 9, 5
-    model = DienModel.build(
-        config.variant, n_items, n_cats, config.embed_dim, 2 * config.embed_dim,
-        config.mlp_hidden, config.alpha, seed=config.seed,
-    )
-    n_params = sum(a.size for a in model.all_arrays().values())
+    sizes = (config.variant, n_items, n_cats, config.embed_dim, 2 * config.embed_dim,
+             config.mlp_hidden)
+    # counted from the layout, before build allocates a model past the budget
+    n_params = sum(math.prod(shape) for _, shape in array_layout(*sizes)[1])
     if n_params > GRAD_CHECK_PARAM_LIMIT:
         raise UsageError(
             f"{n_params} parameters is past the {GRAD_CHECK_PARAM_LIMIT} budget; "
             "shrink the dimensions"
         )
+    model = DienModel.build(*sizes, config.alpha, seed=config.seed)
     rng = np.random.default_rng([config.seed, 2])
     batch = make_batch(_toy_instances(rng, n_items, n_cats))
     negatives = None

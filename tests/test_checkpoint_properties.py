@@ -16,16 +16,16 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 from dien.errors import ParseError  # noqa: E402
-from dien.model import DienModel, ModelVariant  # noqa: E402
+from dien.model import DienModel, ModelVariant, array_layout  # noqa: E402
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "dien-hypothesis")
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 
 @st.composite
-def small_models(draw):
-    """A freshly initialised model of any variant at toy sizes."""
-    variant = draw(st.sampled_from(list(ModelVariant)))
+def small_models(draw, variants=tuple(ModelVariant)):
+    """A freshly initialised model of one of `variants` at toy sizes."""
+    variant = draw(st.sampled_from(variants))
     embed_dim = draw(st.integers(1, 3))
     hidden = 2 * embed_dim if variant.recurrent else draw(st.integers(1, 6))
     return DienModel.build(
@@ -75,6 +75,19 @@ def is_alpha(path, text) -> bool:
     value = json.loads(text)
     return (path == ("alpha",) and type(value) in (int, float)
             and 0 <= value <= sys.float_info.max)
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+@PROPERTY
+@given(data=st.data())
+def test_layout_lists_the_arrays_build_makes(variant, data):
+    # the reader compares a file with this layout before build allocates
+    model = data.draw(small_models((variant,)))
+    widths, layout = array_layout(variant, model.item_table.vocab_size,
+                                  model.cat_table.vocab_size, model.embed_dim,
+                                  model.hidden_size, model.mlp_widths[1:-1])
+    assert widths == model.mlp_widths
+    assert layout == [(name, arr.shape) for name, arr in model.all_arrays().items()]
 
 
 @PROPERTY

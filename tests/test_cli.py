@@ -200,6 +200,19 @@ class TestEval:
         assert len(err.splitlines()) == 1 and err.startswith("ERROR ") and expect in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_history_must_be_positive(self, value, corpus_dir, train_dir, tmp_path,
+                                          capsys):
+        # a history cut to nothing would leave a row with no step to attend to
+        rc = main(["eval", "--checkpoint", str(train_dir / "model.ckpt"),
+                   "--corpus", str(corpus_dir / "corpus.tsv"), "--max-history", value,
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("ERROR ")
+        assert f"max_history must be at least 1, got {value}" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestGradcheck:
     def test_pass_run(self, tmp_path, capsys):
@@ -235,6 +248,22 @@ class TestGradcheck:
         assert rc == 1
         assert "epsilon must be finite and positive" in captured.err
         assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("embed_dim", ["2000", "100000"])
+    def test_over_budget_refused_before_build(self, embed_dim, tmp_path, capsys, monkeypatch):
+        # 2000 would build 208,116,017 parameters (about 1.6 GB) first, and
+        # 100000 would ask for hundreds of GiB
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("DienModel.build ran for an over-budget config")
+
+        monkeypatch.setattr(DienModel, "build", unbuilt)
+        rc = main(["gradcheck", "--embed-dim", embed_dim, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert len(captured.err.splitlines()) == 1
+        assert "parameters is past the 6000 budget" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
@@ -569,10 +598,15 @@ CORRUPT_CHECKPOINTS = {
     # the header's sizes are checked against the listed shapes before the
     # model is built from them (numpy refuses 10**12 columns at once)
     "huge header vocabulary": (_header_edit(lambda h: {**h, "item_vocab": 10**12}),
-                               "header dimensions give item_emb shape"),
+                               "array 0 is ('item_emb', (4, 120)), the model expects "
+                               "('item_emb', (4, 1000000000000))"),
     "huge header width": (_header_edit(lambda h: {**h, "mlp_widths": [
         *h["mlp_widths"][:1], 10**12, *h["mlp_widths"][2:]]}),
-        "header dimensions give mlp.w0 shape"),
+        "the model expects ('mlp.w0', (1000000000000, "),
+    # the head's input width follows from the other sizes
+    "head input width off": (_header_edit(lambda h: {**h, "mlp_widths": [
+        h["mlp_widths"][0] + 1, *h["mlp_widths"][1:]]}),
+        "header mlp_widths [17, 8, 1], the other header sizes give [16, 8, 1]"),
 }
 
 
