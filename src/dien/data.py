@@ -33,11 +33,12 @@ TEST_FRACTION = 0.1  # share of pair units held out for testing
 
 class _Numbering(dict):
     """Token-to-id dict whose lookup of a new token appends it to `tokens`
-    and returns its id; a known token is numbered without entering Python."""
+    and returns its id; a known token is numbered without entering Python.
+    It starts with the padding token at id 0."""
 
     def __init__(self):
-        super().__init__()
-        self.tokens: list[str] = []
+        super().__init__({PAD_TOKEN: 0})
+        self.tokens: list[str] = [PAD_TOKEN]
 
     def __missing__(self, token):
         got = self[token] = len(self.tokens)
@@ -46,18 +47,19 @@ class _Numbering(dict):
 
 
 class Vocab:
-    """First-seen token-to-dense-id mapping with id 0 reserved for padding."""
+    """The tokens of a corpus in id order, id 0 the padding token.
 
-    def __init__(self):
-        self._ids = _Numbering()
-        self._tokens = self._ids.tokens
-        self.add(PAD_TOKEN)
+    Only the token list is held; the token-to-id index that `id_of` needs
+    is built on its first call.
+    """
 
-    def add(self, token: str) -> int:
-        """Return the token's id, assigning the next free one if new."""
-        return self._ids[token]
+    def __init__(self, tokens: list[str]):
+        self._tokens = tokens
+        self._ids: dict[str, int] | None = None
 
     def id_of(self, token: str) -> int:
+        if self._ids is None:
+            self._ids = dict(zip(self._tokens, range(len(self._tokens))))
         got = self._ids.get(token)
         if got is None:
             raise VocabularyError(f"unknown token {token!r}")
@@ -75,7 +77,7 @@ class Vocab:
         return list(self._tokens)
 
 
-@dataclass
+@dataclass(slots=True)
 class Instance:
     """One labeled example: a behavior history and a candidate target."""
 
@@ -108,8 +110,8 @@ class Corpus:
     item_vocab: Vocab
     cat_vocab: Vocab
     instances: list[Instance]
-    train_idx: list[int]
-    test_idx: list[int]
+    train_idx: np.ndarray  # both int64 row numbers, ascending
+    test_idx: np.ndarray
     item_cats: np.ndarray
     provenance: dict[str, str] = field(default_factory=dict)
 
@@ -133,10 +135,10 @@ def _build_corpus(rows, split_seed: int, provenance: dict) -> Corpus:
     """
     if split_seed < 0:
         raise ConfigError(f"split_seed must not be negative, got {split_seed}")
-    item_vocab, cat_vocab = Vocab(), Vocab()
-    item_id, cat_id = item_vocab._ids.__getitem__, cat_vocab._ids.__getitem__
+    item_ids, cat_ids = _Numbering(), _Numbering()  # freed with the build
+    item_id, cat_id = item_ids.__getitem__, cat_ids.__getitem__
     instances: list[Instance] = []
-    units: list[list[int]] = []
+    unit_starts: list[int] = []  # the first row of each split unit
     item_seq: list[int] = []  # item and category ids in order of appearance
     cat_seq: list[int] = []
     history = None
@@ -147,25 +149,24 @@ def _build_corpus(rows, split_seed: int, provenance: dict) -> Corpus:
             ids = tuple(map(item_id, hist_items)), tuple(map(cat_id, hist_cats))
             item_seq += ids[0]
             cat_seq += ids[1]
-            units.append([])
+            unit_starts.append(len(instances))
         item_seq.append(target[0])
         cat_seq.append(target[1])
-        units[-1].append(len(instances))
         instances.append(Instance(*ids, *target, label))
 
-    order = np.random.default_rng(split_seed).permutation(len(units))
-    test_units = set(order[:int(round(len(units) * TEST_FRACTION))].tolist())
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for k, unit in enumerate(units):
-        (test_idx if k in test_units else train_idx).extend(unit)
+    n_units = len(unit_starts)
+    order = np.random.default_rng(split_seed).permutation(n_units)
+    held_out = np.zeros(n_units, dtype=bool)
+    held_out[order[:int(round(n_units * TEST_FRACTION))]] = True
+    row_held_out = np.repeat(held_out, np.diff(unit_starts, append=len(instances)))
     # read backwards, a dict keeps each item's first category
     firsts = dict(zip(reversed(item_seq), reversed(cat_seq)))
-    item_cats = np.zeros(len(item_vocab), dtype=np.int64)
+    item_cats = np.zeros(len(item_ids), dtype=np.int64)
     item_cats[list(firsts)] = list(firsts.values())
     return Corpus(
-        item_vocab=item_vocab, cat_vocab=cat_vocab, instances=instances,
-        train_idx=train_idx, test_idx=test_idx, item_cats=item_cats,
+        item_vocab=Vocab(item_ids.tokens), cat_vocab=Vocab(cat_ids.tokens),
+        instances=instances, train_idx=np.flatnonzero(~row_held_out),
+        test_idx=np.flatnonzero(row_held_out), item_cats=item_cats,
         provenance={**provenance, "split_seed": str(split_seed)},
     )
 

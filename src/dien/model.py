@@ -201,8 +201,8 @@ class DienModel:
     def __init__(self, variant: ModelVariant, alpha: float, item_table, cat_table,
                  extractor, evolver, attention, mlp, embed_dim: int, hidden_size: int,
                  mlp_widths: list):
-        if not alpha >= 0:
-            raise ConfigError(f"alpha must be nonnegative, got {alpha}")
+        if not (np.isfinite(alpha) and alpha >= 0):
+            raise ConfigError(f"alpha must be finite and nonnegative, got {alpha}")
         self.variant = variant
         self.alpha = float(alpha)
         self.item_table = item_table

@@ -46,8 +46,8 @@ class TrainConfig:
     max_history: int = 50
 
     def validate(self) -> None:
-        if not self.alpha >= 0:
-            raise ConfigError(f"alpha must be nonnegative, got {self.alpha}")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError(f"alpha must be finite and nonnegative, got {self.alpha}")
         for name in ("epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")

@@ -371,6 +371,25 @@ class TestNegativeSeed:
         assert not (tmp_path / "out").exists()
 
 
+class TestInfiniteAlpha:
+    """An infinite alpha is a bad setting, exit 1 with one line: inf times
+    an aux loss of 0 is NaN, which ended the first step as a non-finite
+    loss (exit 2) after the model was built."""
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_exit_1_with_one_line(self, command, corpus_dir, tmp_path, capsys):
+        argv = [command, "--alpha", "inf", "--out", str(tmp_path / "out")]
+        if command == "train":
+            argv += ["--corpus", str(corpus_dir / "corpus.tsv")]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("ERROR ")
+        assert "alpha must be finite and nonnegative, got inf" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestOversizedSizes:
     """A size past what numpy can hold is a bad setting, and an allocation
     the machine cannot make is a runtime failure: one line either way, not a

@@ -21,25 +21,33 @@ from dien.errors import ConfigError, DegenerateError, DomainError, ParseError, V
 
 
 class TestVocab:
-    def test_reserved_padding_token(self):
-        v = Vocab()
-        assert len(v) == 1
-        assert v.token_of(0) == "<pad>"
+    def test_reserved_padding_token(self, tmp_path):
+        corpus = parse_corpus(write_corpus(tmp_path, "1\tb\tx\ta\ty\n"))
+        for v in (corpus.item_vocab, corpus.cat_vocab):
+            assert v.token_of(0) == PAD_TOKEN
+            assert v.id_of(PAD_TOKEN) == 0
 
-    def test_first_seen_assignment(self):
-        v = Vocab()
-        assert v.add("b") == 1
-        assert v.add("a") == 2
-        assert v.add("b") == 1
-        assert v.id_of("a") == 2
+    def test_first_seen_assignment(self, tmp_path):
+        # "b" comes back in the history and keeps its first id
+        v = parse_corpus(write_corpus(tmp_path, "1\tb\tx\ta,b\ty,x\n")).item_vocab
+        assert len(v) == 3
         assert v.tokens() == ["<pad>", "b", "a"]
+        assert (v.id_of("b"), v.id_of("a")) == (1, 2)
+
+    def test_id_is_position_in_the_token_list(self):
+        v = Vocab([PAD_TOKEN, "b", "a"])
+        assert [v.id_of(t) for t in (PAD_TOKEN, "b", "a")] == [0, 1, 2]
+        assert [v.token_of(i) for i in range(3)] == [PAD_TOKEN, "b", "a"]
+        v.tokens().append("c")  # a copy: the vocabulary does not grow
+        assert len(v) == 3
 
     def test_unknown_token(self):
-        v = Vocab()
-        with pytest.raises(VocabularyError):
+        v = Vocab([PAD_TOKEN, "b"])
+        with pytest.raises(VocabularyError, match="unknown token 'missing'"):
             v.id_of("missing")
-        with pytest.raises(VocabularyError):
-            v.token_of(5)
+        for idx in (2, -1):
+            with pytest.raises(VocabularyError, match=f"id {idx} outside"):
+                v.token_of(idx)
 
 
 class TestInstance:
@@ -54,6 +62,16 @@ class TestInstance:
     def test_bad_label(self):
         with pytest.raises(ParseError, match="label"):
             Instance((1,), (1,), 1, 1, 2)
+
+    def test_slotted(self):
+        inst = Instance((1, 2, 3), (1, 1, 2), 4, 1, 1)
+        assert not hasattr(inst, "__dict__")
+        with pytest.raises(AttributeError):
+            inst.weight = 1.0
+        assert replace(inst, label=0) == Instance((1, 2, 3), (1, 1, 2), 4, 1, 0)
+        with pytest.raises(ParseError, match="label"):
+            replace(inst, label=2)  # a replaced instance is checked again
+        assert truncate_history(inst, 2) == Instance((2, 3), (1, 2), 4, 1, 1)
 
 
 def write_corpus(tmp_path, text, name="corpus.tsv"):
@@ -142,8 +160,8 @@ class TestParseCorpus:
         a = parse_corpus(p, split_seed=5)
         b = parse_corpus(p, split_seed=5)
         c = parse_corpus(p, split_seed=6)
-        assert a.test_idx == b.test_idx
-        assert a.test_idx != c.test_idx
+        np.testing.assert_array_equal(a.test_idx, b.test_idx)
+        assert not np.array_equal(a.test_idx, c.test_idx)
 
     def test_paired_lines_stay_on_one_side(self, tmp_path):
         corpus = synth_generate(SynthConfig(n_users=60, n_items=30, n_cats=4,
@@ -178,8 +196,8 @@ class TestParseCorpus:
         p = write_corpus(tmp_path, "".join(
             f"1\tT{k}\tC1\tI{k}\tC1\n" for k in range(1, 21)))
         got = parse_corpus(p, split_seed=0)
-        both = sorted(got.train_idx + got.test_idx)
-        assert both == list(range(20))
+        both = np.sort(np.concatenate([got.train_idx, got.test_idx]))
+        assert both.tolist() == list(range(20))
         assert len(got.test_idx) == 2  # TEST_FRACTION of 20 units
 
 
@@ -210,7 +228,7 @@ class TestSynthGenerate:
         a = synth_generate(cfg)
         b = synth_generate(cfg)
         assert a.instances == b.instances
-        assert a.train_idx == b.train_idx
+        np.testing.assert_array_equal(a.train_idx, b.train_idx)
 
     def test_seed_matters(self):
         a = synth_generate(SynthConfig(n_users=50, n_items=40, n_cats=4, seed=0))
@@ -295,8 +313,8 @@ class TestSynthGenerate:
         assert corpus.item_vocab.tokens() == parsed.item_vocab.tokens()
         assert corpus.cat_vocab.tokens() == parsed.cat_vocab.tokens()
         assert corpus.instances == parsed.instances
-        assert corpus.train_idx == parsed.train_idx
-        assert corpus.test_idx == parsed.test_idx
+        np.testing.assert_array_equal(corpus.train_idx, parsed.train_idx)
+        np.testing.assert_array_equal(corpus.test_idx, parsed.test_idx)
         np.testing.assert_array_equal(corpus.item_cats, parsed.item_cats)
 
     def test_provenance_recorded(self):

@@ -1,5 +1,7 @@
 """Property tests of the one corpus builder: a generated corpus equals its
-saved-and-parsed round trip, and parse then save reproduces a corpus file.
+saved-and-parsed round trip, parse then save reproduces a corpus file, each
+vocabulary's ids and tokens invert each other, and the split partitions
+the rows.
 
 Runs derandomized and without an example database, so a run is repeatable;
 the caches hypothesis keeps go to the system's temporary directory, not
@@ -17,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 from dien.data import SynthConfig, parse_corpus, save_corpus, synth_generate  # noqa: E402
+from dien.errors import VocabularyError  # noqa: E402
 
 # hypothesis caches the constants of the source files it finds under its
 # home directory, ./.hypothesis by default, database or not; it does so as
@@ -67,7 +70,8 @@ def test_generated_corpus_equals_its_round_trip(config, tmp_path_factory):
     assert corpus.item_vocab.tokens() == parsed.item_vocab.tokens()
     assert corpus.cat_vocab.tokens() == parsed.cat_vocab.tokens()
     assert corpus.instances == parsed.instances
-    assert (corpus.train_idx, corpus.test_idx) == (parsed.train_idx, parsed.test_idx)
+    np.testing.assert_array_equal(corpus.train_idx, parsed.train_idx)
+    np.testing.assert_array_equal(corpus.test_idx, parsed.test_idx)
     np.testing.assert_array_equal(corpus.item_cats, parsed.item_cats)
 
 
@@ -79,4 +83,35 @@ def test_save_of_parse_reproduces_the_file(text, tmp_path_factory):
     corpus = parse_corpus(folder / "in.tsv")
     save_corpus(corpus, folder / "out.tsv")
     assert (folder / "out.tsv").read_bytes() == (folder / "in.tsv").read_bytes()
-    assert sorted(corpus.train_idx + corpus.test_idx) == list(range(len(corpus.instances)))
+    assert_split_partitions(corpus)
+
+
+def assert_split_partitions(corpus):
+    """train_idx and test_idx are ascending int64 row numbers that together
+    hold each row once, and rows sharing a history, as a pair does, sit on
+    one side."""
+    for idx in (corpus.train_idx, corpus.test_idx):
+        assert idx.dtype == np.int64
+        assert np.all(np.diff(idx) > 0)
+    rows = np.sort(np.concatenate([corpus.train_idx, corpus.test_idx]))
+    assert rows.tolist() == list(range(len(corpus.instances)))
+    held_out = set(corpus.test_idx.tolist())
+    for k in range(1, len(corpus.instances)):
+        before, row = corpus.instances[k - 1], corpus.instances[k]
+        if (before.history_items, before.history_cats) == (row.history_items, row.history_cats):
+            assert (k - 1 in held_out) == (k in held_out)
+
+
+@PROPERTY
+@given(config=synth_configs())
+def test_vocabularies_invert_and_split_partitions(config, tmp_path_factory):
+    corpus = synth_generate(config)
+    path = tmp_path_factory.mktemp("vocab") / "corpus.tsv"
+    save_corpus(corpus, path)
+    for built in (corpus, parse_corpus(path)):
+        for vocab in (built.item_vocab, built.cat_vocab):
+            assert [vocab.id_of(vocab.token_of(i)) for i in range(len(vocab))] == \
+                list(range(len(vocab)))
+            with pytest.raises(VocabularyError):
+                vocab.id_of("unseen")
+        assert_split_partitions(built)

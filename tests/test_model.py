@@ -170,6 +170,11 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build(ModelVariant.DIEN, alpha=-0.5)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha(self, alpha):
+        with pytest.raises(ConfigError, match="alpha must be finite and nonnegative"):
+            build(ModelVariant.DIEN, alpha=alpha)
+
     def test_seeded_build_reproducible(self):
         a = build(ModelVariant.DIEN, seed=3)
         b = build(ModelVariant.DIEN, seed=3)

@@ -43,6 +43,7 @@ class TestTrainConfig:
         bad = [
             dict(alpha=-1.0),
             dict(alpha=float("nan")),  # fails every comparison, `alpha < 0` too
+            dict(alpha=float("inf")),  # inf times an aux loss of 0 is NaN
             dict(epochs=-1),
             dict(seed=-1),
             dict(batch_size=0),
