@@ -1,11 +1,11 @@
 """Embedding tables: sparse ids in, dense float64 vectors out.
 
-A table stores one column per id (shape dim x vocab_size).  Its gradient is
-kept as summed rows: the ascending ids that received gradient since the last
-zero_grad and one (dim,) row per id, so the optimizer only ever touches the
-ids seen in a batch and no buffer grows with the vocabulary.  Id 0 is
-reserved as padding in every vocabulary: its column is zero at
-initialization and masked positions never feed gradient back into it.
+A table stores one row per id (vocab_size x dim), as its gradient rows and
+Adam moments do; checkpoints hold the transpose.  Its gradient is kept as
+summed rows: the ascending ids that received gradient since the last
+zero_grad and one (dim,) row per id, so the optimizer only touches the ids
+seen in a batch and no buffer grows with the vocabulary.  Id 0 is padding in
+every vocabulary: its row starts at zero and masked positions feed it nothing.
 """
 
 from __future__ import annotations
@@ -27,10 +27,12 @@ class EmbeddingTable:
             )
         self.vocab_size = int(vocab_size)
         self.dim = int(dim)
-        # Uniform in [-1/sqrt(dim), 1/sqrt(dim)]; padding column forced to 0.
+        # uniform in ±1/sqrt(dim), a column at a time: the stream of one (dim, vocab) draw
         bound = 1.0 / np.sqrt(self.dim)
-        self.weights = rng.uniform(-bound, bound, size=(self.dim, self.vocab_size))
-        self.weights[:, PAD_ID] = 0.0
+        self.weights = np.empty((self.vocab_size, self.dim))
+        for k in range(self.dim):
+            self.weights[:, k] = rng.uniform(-bound, bound, size=self.vocab_size)
+        self.weights[PAD_ID] = 0.0
         self.zero_grad()
 
     def lookup(self, idx: int) -> np.ndarray:
@@ -38,7 +40,7 @@ class EmbeddingTable:
         idx = int(idx)
         if not 0 <= idx < self.vocab_size:
             raise VocabularyError(f"id {idx} outside vocabulary of size {self.vocab_size}")
-        return self.weights[:, idx].copy()
+        return self.weights[idx].copy()
 
     def lookup_many(self, ids) -> np.ndarray:
         """Embedding vectors for an id array of any shape.
@@ -52,7 +54,7 @@ class EmbeddingTable:
             raise VocabularyError(
                 f"id {int(bad)} outside vocabulary of size {self.vocab_size}"
             )
-        return np.moveaxis(self.weights[:, ids], 0, -1).copy()
+        return self.weights[ids]
 
     def accumulate_grad_many(self, ids, grads) -> None:
         """Add rows of `grads` to the gradient of the ids named by `ids`.

@@ -265,8 +265,8 @@ class DienModel:
         return out
 
     def all_arrays(self) -> dict[str, np.ndarray]:
-        """param_arrays plus the two embedding matrices, in checkpoint order."""
-        out = {"item_emb": self.item_table.weights, "cat_emb": self.cat_table.weights}
+        """param_arrays plus dim x vocab views of the two tables, in checkpoint order."""
+        out = {"item_emb": self.item_table.weights.T, "cat_emb": self.cat_table.weights.T}
         out.update(self.param_arrays())
         return out
 
@@ -296,7 +296,7 @@ class DienModel:
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
             fh.write(b"\n")
             for arr in arrays.values():
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
     @classmethod
     def load(cls, path) -> "DienModel":

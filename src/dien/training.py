@@ -126,9 +126,9 @@ def adam_step(params: dict, grads: dict, state: dict, lr: float) -> dict:
 class Adam:
     """Adaptive updates for the dense parameters and lazy sparse updates for
     embedding tables: only ids that received gradient move, with moments
-    kept per id (one row each) and bias correction from the shared step
-    counter.  A table's touched rows are updated in one workspace block per
-    step: gathered m, gathered v, the step and a scratch array.
+    kept per id (one row each, its pages unwritten until a row moves) and
+    bias correction from the shared step counter.  Touched rows update in one
+    workspace block per step: gathered m, gathered v, the step and scratch.
     """
 
     def __init__(self, params: dict, tables: list, lr: float):
@@ -136,8 +136,8 @@ class Adam:
         self.tables = list(tables)
         self.lr = lr
         self.state: dict = {}
-        self._table_m = [np.zeros((t.vocab_size, t.dim)) for t in self.tables]
-        self._table_v = [np.zeros((t.vocab_size, t.dim)) for t in self.tables]
+        self._table_m = [np.zeros(t.weights.shape) for t in self.tables]
+        self._table_v = [np.zeros(t.weights.shape) for t in self.tables]
 
     def step(self, grads: dict) -> None:
         """Apply one update; consumes and clears the tables' gradient rows."""
@@ -153,7 +153,7 @@ class Adam:
             np.take(v, ids, axis=0, out=v_ids, mode="clip")
             _adam_moves(m_ids, v_ids, rows, self.state["t"], self.lr, step, scratch)
             m[ids], v[ids] = m_ids, v_ids
-            table.weights[:, ids] -= step.T
+            table.weights[ids] -= step
             table.zero_grad()
 
 

@@ -1,6 +1,8 @@
 """Embedding table behavior: lookups, sparse gradient accumulation, and the
 feature assembly the batched engine builds from two tables."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,27 @@ class TestTable:
     def test_init_bound(self):
         t = EmbeddingTable(50, 16, rng=np.random.default_rng(1))
         assert np.all(np.abs(t.weights) <= 1.0 / 4.0)
+
+    @pytest.mark.parametrize("vocab, dim, seed", [(6, 3, 0), (50, 16, 1), (9, 1, 2)])
+    def test_rows_hold_the_checkpoint_draw_transposed(self, vocab, dim, seed):
+        # one row per id in memory, drawn as the (dim, vocab) checkpoint order
+        # draws, so a seed writes the same checkpoint bytes as ever
+        t = EmbeddingTable(vocab, dim, rng=np.random.default_rng(seed))
+        assert t.weights.shape == (vocab, dim) and t.weights.flags.c_contiguous
+        np.testing.assert_array_equal(t.weights[PAD_ID], np.zeros(dim))
+        bound = 1.0 / np.sqrt(dim)
+        drawn = np.random.default_rng(seed).uniform(-bound, bound, size=(dim, vocab))
+        np.testing.assert_array_equal(t.weights.T[:, 1:], drawn[:, 1:])
+
+    def test_build_holds_one_table_at_a_time(self):
+        # a whole-table transposed copy would double the peak
+        tracemalloc.start()
+        try:
+            t = EmbeddingTable(200_001, 16, rng=np.random.default_rng(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * t.weights.nbytes
 
     def test_lookup_is_copy(self):
         t = make_table()

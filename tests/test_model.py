@@ -313,7 +313,7 @@ def logit_by_target(logits):
     """A one-layer sum-pooling model whose logit is logits[k] for target
     item k + 1, whatever the history."""
     model = build(ModelVariant.BASE, embed_dim=1, mlp_hidden=())
-    model.item_table.weights[0, 1:len(logits) + 1] = logits
+    model.item_table.weights[1:len(logits) + 1, 0] = logits
     model.mlp.weights[0][...] = [[0.0, 0.0, 1.0, 0.0]]  # the target item's coordinate
     model.mlp.biases[0][...] = 0.0
     return model
@@ -368,8 +368,8 @@ class TestLosses:
     def test_aux_loss_saturates_to_zero(self):
         model = constant_extractor(build(ModelVariant.DIEN), 50.0)  # states 0.5
         for table, pos, neg in ((model.item_table, 2, 4), (model.cat_table, 2, 5)):
-            table.weights[:, pos] = 100.0
-            table.weights[:, neg] = -100.0
+            table.weights[pos] = 100.0
+            table.weights[neg] = -100.0
         ctx = aux_ctx(model, [Instance((1, 2), (1, 2), 3, 3, 1)], [[4]], [[5]])
         assert 0.0 <= ctx["l_aux"] < 1e-12
 
@@ -381,8 +381,8 @@ class TestLosses:
         # moving the next behavior towards the first state raises its score
         # and leaves that state alone
         h = ctx["states1"][0, 0]
-        model.item_table.weights[:, 2] += 0.5 * h[:3]
-        model.cat_table.weights[:, 2] += 0.5 * h[3:]
+        model.item_table.weights[2] += 0.5 * h[:3]
+        model.cat_table.weights[2] += 0.5 * h[3:]
         assert aux_ctx(model, [inst], [[4]], [[5]])["l_aux"] < ctx["l_aux"]
 
     def test_aux_loss_single_step_skipped(self):

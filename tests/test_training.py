@@ -121,19 +121,19 @@ class TestSparseAdam:
             grads = rng.standard_normal((4, 2))
             table.accumulate_grad_many(ids, grads)
             opt.step({})
-            adam_step(mirror, {"w": grads.T.copy()}, state, lr=0.01)
+            adam_step(mirror, {"w": grads}, state, lr=0.01)
         np.testing.assert_array_equal(table.weights, mirror["w"])
 
     def test_untouched_ids_hold_still(self):
         table = EmbeddingTable(5, 3, rng=np.random.default_rng(112))
-        frozen = table.weights[:, 2].copy()
+        frozen = table.weights[2].copy()
         opt = Adam({}, [table], lr=0.05)
         for k in (0, 1, 3, 4):
             table.accumulate_grad_many([k], np.ones((1, 3)))
         opt.step({})
-        np.testing.assert_array_equal(table.weights[:, 2], frozen)
-        assert not np.array_equal(table.weights[:, 0],
-                                  EmbeddingTable(5, 3, rng=np.random.default_rng(112)).weights[:, 0])
+        np.testing.assert_array_equal(table.weights[2], frozen)
+        assert not np.array_equal(table.weights[0],
+                                  EmbeddingTable(5, 3, rng=np.random.default_rng(112)).weights[0])
 
     def test_late_id_uses_global_step_correction(self):
         """An id first touched at step 3 must be corrected with t=3, exactly
@@ -144,25 +144,25 @@ class TestSparseAdam:
         opt = Adam({}, [table], lr=0.02)
         g_active = np.array([0.3, -0.7])
         for step in range(4):
-            dense = np.zeros((2, 3))
+            dense = np.zeros((3, 2))
             table.accumulate_grad_many([0], g_active[None])
-            dense[:, 0] = g_active
+            dense[0] = g_active
             if step == 2:
                 table.accumulate_grad_many([2], np.ones((1, 2)))
-                dense[:, 2] = 1.0
+                dense[2] = 1.0
             opt.step({})
             adam_step(mirror, {"w": dense}, state, lr=0.02)
         # the sparse path skips zero-gradient steps entirely for id 2, so it
         # legitimately differs from a dense optimizer that decays moments on
         # every step; only the id that moved every step must agree
-        np.testing.assert_array_equal(table.weights[:, 0], mirror["w"][:, 0])
+        np.testing.assert_array_equal(table.weights[0], mirror["w"][0])
 
     def test_row_update_equals_column_reference(self):
-        # the old layout: moments shaped like the (dim, vocab) weights and a
+        # the checkpoint's layout: weights and moments held (dim, vocab) and a
         # dense gradient read column by column
         rng = np.random.default_rng(115)
         table = EmbeddingTable(9, 3, rng=np.random.default_rng(116))
-        weights, m, v = table.weights.copy(), np.zeros((3, 9)), np.zeros((3, 9))
+        weights, m, v = table.weights.T.copy(), np.zeros((3, 9)), np.zeros((3, 9))
         opt = Adam({}, [table], lr=0.03)
         for t in range(1, 5):
             ids = rng.integers(1, 9, size=12)
@@ -175,7 +175,7 @@ class TestSparseAdam:
                 m[:, cols], v[:, cols], dense.T[:, cols], t, 0.03)
             weights[:, cols] -= step
             opt.step({})
-            np.testing.assert_array_equal(table.weights, weights)
+            np.testing.assert_array_equal(table.weights.T, weights)
         np.testing.assert_array_equal(opt._table_m[0], m.T)
         np.testing.assert_array_equal(opt._table_v[0], v.T)
 
