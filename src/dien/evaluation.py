@@ -82,9 +82,10 @@ def model_scores(model: DienModel, instances: list) -> np.ndarray:
     Rows run longest history first (a stable sort, so a click/non-click
     pair stays adjacent and shares one extractor pass), in chunks of at most
     EVAL_CHUNK rows and EVAL_CELLS padded cells, which bounds a chunk's
-    states and caches whatever the history lengths.  Histories shorter than
-    EVAL_CELLS // EVAL_CHUNK steps sort as that long, so they keep their
-    input order and consecutive EVAL_CHUNK-row chunks.
+    states whatever the history lengths.  Each chunk runs forward only, so
+    the recurrences keep no per-step gate values for a backward.  Histories
+    shorter than EVAL_CELLS // EVAL_CHUNK steps sort as that long, so they
+    keep their input order and consecutive EVAL_CHUNK-row chunks.
     """
     if not instances:
         raise UsageError("no instances to score")
@@ -96,7 +97,8 @@ def model_scores(model: DienModel, instances: list) -> np.ndarray:
     while start < len(order):
         take = min(EVAL_CHUNK, max(1, EVAL_CELLS // steps[order[start]]))
         rows = order[start:start + take]
-        probs[rows] = forward_batch(model, make_batch([instances[i] for i in rows]))["probs"]
+        batch = make_batch([instances[i] for i in rows])
+        probs[rows] = forward_batch(model, batch, for_backward=False)["probs"]
         start += rows.size
     return probs
 
@@ -252,8 +254,9 @@ def viz_bundle(model: DienModel, corpus: Corpus, steps: int = 10) -> VizBundle:
 
     One forward pass runs both probe targets over their shared history; the
     target-free run feeds that history's extractor states through the
-    evolution layer under uniform relevance scores.  The projection is
-    fitted on the union of all evolved states so the curves share one plane.
+    evolution layer under uniform relevance scores.  Both run forward only,
+    keeping no per-step gate values.  The projection is fitted on the union
+    of all evolved states so the curves share one plane.
     """
     cell = model.variant.evolution_cell
     if cell is None:
@@ -261,11 +264,12 @@ def viz_bundle(model: DienModel, corpus: Corpus, steps: int = 10) -> VizBundle:
             f"variant {model.variant.value} has no evolution layer to visualize"
         )
     probes, labels = build_viz_probes(corpus, steps)
-    ctx = forward_batch(model, make_batch(probes))
+    ctx = forward_batch(model, make_batch(probes), for_backward=False)
     attention = dict(zip(labels, ctx["scores"]))
     states = dict(zip(labels, ctx["evolved"]))
     uniform = np.full((1, steps), 1.0 / steps)
-    evolved, _ = evolve_forward(model.evolver, ctx["states1"][:1], uniform, [steps], cell)
+    evolved, _ = evolve_forward(model.evolver, ctx["states1"][:1], uniform, [steps], cell,
+                                keep=False)
     attention[VizBundle.NONE_LABEL] = uniform[0]
     states[VizBundle.NONE_LABEL] = evolved[0]
 

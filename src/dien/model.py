@@ -451,13 +451,17 @@ def draw_negative_items(rng: np.random.Generator, vocab_size: int,
     return 1 + draws + (draws >= np.maximum(excluded, 1) - 1)
 
 
-def forward_batch(model: DienModel, batch: Batch, negatives=None) -> dict:
+def forward_batch(model: DienModel, batch: Batch, negatives=None, *,
+                  for_backward=True) -> dict:
     """Run the variant end to end over a batch.
 
     `negatives` is an (item ids, category ids) pair shaped (B, T-1) for the
     next-behavior loss; pass None to skip that loss.  Returns the context
     dict consumed by model_backward, with losses under "l_target"/"l_aux"
-    and probabilities under "probs".
+    and probabilities under "probs".  With `for_backward` off, as scoring
+    and probes run it, the recurrences keep no per-step gate values, so
+    model_backward refuses the context; every value in it is bitwise the
+    same either way.
 
     Nothing before the attention sees the target, so the behavior lookup,
     the step mask, the sum-pooling and the target-free recurrences (the
@@ -479,16 +483,18 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None) -> dict:
     mask = step_masks(batch.history_lens, n_histories, width)
     lens = _by_row(batch, batch.history_lens)
     ctx: dict = {"batch": batch, "behaviors": behaviors, "targets": targets,
-                 "mask": mask, "variant": model.variant}
+                 "mask": mask, "variant": model.variant, "for_backward": for_backward}
 
     if model.variant is ModelVariant.BASE:
         pooled = (behaviors * mask[:, :, None]).sum(axis=1)
         feats = np.concatenate([_by_row(batch, pooled), targets], axis=1)
     else:
-        states1, cache1 = gru_forward(model.extractor, behaviors, batch.history_lens)
+        states1, cache1 = gru_forward(model.extractor, behaviors, batch.history_lens,
+                                      keep=for_backward)
         two_layer = model.variant is ModelVariant.TWO_LAYER_GRU_ATT
         if two_layer:
-            states2, cache2 = gru_forward(model.evolver, states1, batch.history_lens)
+            states2, cache2 = gru_forward(model.evolver, states1, batch.history_lens,
+                                          keep=for_backward)
             states2 = _by_row(batch, states2)
             ctx.update(states2=states2, cache2=cache2)
         states1 = _by_row(batch, states1)
@@ -500,7 +506,8 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None) -> dict:
             interest = (scores[:, :, None] * states2).sum(axis=1)
         else:
             evolved, ecache = evolve_forward(
-                model.evolver, states1, scores, lens, model.variant.evolution_cell
+                model.evolver, states1, scores, lens, model.variant.evolution_cell,
+                keep=for_backward,
             )
             interest = evolved[:, -1]
             ctx.update(evolved=evolved, ecache=ecache)
@@ -561,8 +568,12 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
     receive nothing.  The target-free work ran once per distinct history,
     so every row's gradient of it (the pooled vector's, or the extractor
     states' with the next-behavior loss's) is summed per history before the
-    one extractor backward and the behavior embeddings.
+    one extractor backward and the behavior embeddings.  The context must
+    come from a forward_batch run with `for_backward` on.
     """
+    if not ctx["for_backward"]:
+        raise UsageError("model_backward needs a forward_batch context built "
+                         "with for_backward=True")
     batch: Batch = ctx["batch"]
     d = model.embed_dim
     n_rows = batch.labels.size

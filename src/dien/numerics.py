@@ -16,15 +16,16 @@ import numpy as np
 from .errors import DomainError, NumericError, ShapeError
 
 
-def sigmoid(x) -> np.ndarray:
+def sigmoid(x, out=None) -> np.ndarray:
     """Elementwise logistic function, stable over the whole float64 range.
 
     Uses the branch-free form exp(min(x,0)) / (1 + exp(-|x|)) so neither
     branch can overflow; large negative inputs underflow cleanly to 0.
+    `out`, which may be `x` itself, receives the result.
     """
     x = np.asarray(x, dtype=np.float64)
     z = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0, z) / (1.0 + z)
+    return np.divide(np.where(x >= 0.0, 1.0, z), 1.0 + z, out=out)
 
 
 def log_sigmoid(x) -> np.ndarray:

@@ -21,9 +21,11 @@ their history only.  A row past its valid length repeats its last state,
 and a row of length 0 stays at the zero state.  A batch of full-length rows
 is visited in its own order, every row at every step.
 
-Backward passes are hand-derived and consume the per-step gate values
-cached during the forward pass; the finite-difference harness in
-`training` is the safety net for every derivative here.
+Backward passes are hand-derived and consume the per-step gate values the
+forward pass keeps for them; a forward pass that no backward will read
+(scoring, probes) keeps none, and writes each step's gates into one
+reused set of buffers.  The finite-difference harness in `training` is
+the safety net for every derivative here.
 
 The layer functions take only what the engine in `model` builds (float64
 arrays of matching widths, a valid step in every row the attention scores,
@@ -119,13 +121,25 @@ class AttentionParams:
 # ---------------------------------------------------------------------------
 
 
-def _gates(params: GruParams, x, h_prev):
-    """All gate values plus the recurrent candidate term h_prev @ Uc'."""
-    update = sigmoid(x @ params.w_update.T + h_prev @ params.u_update.T + params.b_update)
-    reset = sigmoid(x @ params.w_reset.T + h_prev @ params.u_reset.T + params.b_reset)
-    cand_hid = h_prev @ params.u_cand.T
-    cand = np.tanh(x @ params.w_cand.T + reset * cand_hid + params.b_cand)
-    return update, reset, cand, cand_hid
+def _gates(params: GruParams, x, h_prev, out):
+    """All gate values plus the recurrent candidate term h_prev @ Uc',
+    written into `out`: four (n, H) arrays for update, reset, cand and
+    cand_hid, each summed in the order x W' + h_prev U' + b."""
+    update, reset, cand, cand_hid = out
+    np.matmul(x, params.w_update.T, out=update)
+    update += h_prev @ params.u_update.T
+    update += params.b_update
+    sigmoid(update, out=update)
+    np.matmul(x, params.w_reset.T, out=reset)
+    reset += h_prev @ params.u_reset.T
+    reset += params.b_reset
+    sigmoid(reset, out=reset)
+    np.matmul(h_prev, params.u_cand.T, out=cand_hid)
+    np.matmul(x, params.w_cand.T, out=cand)
+    cand += reset * cand_hid
+    cand += params.b_cand
+    np.tanh(cand, out=cand)
+    return out
 
 
 def step_masks(valid_lens, batch: int, steps: int) -> np.ndarray:
@@ -133,34 +147,53 @@ def step_masks(valid_lens, batch: int, steps: int) -> np.ndarray:
     return (np.arange(steps)[None, :] < lens[:, None]).astype(np.float64)
 
 
-def _blend_gate(cell, update, score):
+def _blend_gate(cell, update, score, out=None):
     """What blends h_prev with the candidate: u, a (AGRU) or a*u (AUGRU)."""
     if cell is None:
         return update
-    return score if cell == AGRU else score * update
+    return score if cell == AGRU else np.multiply(score, update, out=out)
 
 
-def _recur(params: GruParams, inputs, valid_lens, scores=None, cell=None):
+def _recur(params: GruParams, inputs, valid_lens, scores=None, cell=None, *, keep=True):
     """The one time loop behind every recurrence, from the zero state.
 
     `cell` None runs the plain cell; AGRU and AUGRU read the (B, T) scores.
     Rows are visited longest first (a stable sort of the valid lengths), so
     step t runs the gates on the live prefix `order[:n_t]` only.  A row past
     its valid length is not stepped: its state carries forward.
+
+    `keep` keeps each step's gate values for the backward pass.  Off, no
+    backward will run: every step writes its gates into one reused set of
+    (B, H) buffers, and the cache is None.  Both ways run the same
+    operations, so the states are bitwise the same.
     """
-    batch, steps, _ = inputs.shape
+    batch, steps, n_input = inputs.shape
+    n_hidden = params.n_hidden
     lens = np.asarray(valid_lens, dtype=np.int64).reshape(batch)
     order = np.argsort(-lens, kind="stable")
     live = (lens[:, None] > np.arange(steps)).sum(axis=0)  # n_t
-    h = np.zeros((batch, params.n_hidden))  # in visiting order
-    states = np.empty((batch, steps, params.n_hidden))
+    h = np.zeros((batch, n_hidden))  # in visiting order
+    states = np.empty((batch, steps, n_hidden))
+    x_all = np.empty((batch, n_input))
+    # the blend gate, (1 - gate) * h_prev and gate * cand: never cached
+    blend = np.empty((3, batch, n_hidden))
+    reused = None if keep else np.empty((4, batch, n_hidden))
     gates = []  # per step, (n_t, H) update, reset, cand and cand_hid
     for t, n in enumerate(live):
-        u, r, c, hl = _gates(params, inputs[order[:n], t], h[:n])
-        gate = _blend_gate(cell, u, None if cell is None else scores[order[:n], t][:, None])
-        h[:n] = (1.0 - gate) * h[:n] + gate * c
+        # the indices are in range, so "clip" only spares take a buffered copy
+        x = np.take(inputs[:, t], order[:n], axis=0, out=x_all[:n], mode="clip")
+        step = [np.empty((n, n_hidden)) for _ in range(4)] if keep else reused[:, :n]
+        u, _, c, _ = _gates(params, x, h[:n], step)
+        gate = _blend_gate(cell, u, None if cell is None else scores[order[:n], t][:, None],
+                           out=blend[0, :n])
+        carried = np.subtract(1.0, gate, out=blend[1, :n])
+        carried *= h[:n]
+        np.add(carried, np.multiply(gate, c, out=blend[2, :n]), out=h[:n])
         states[order, t] = h
-        gates.append((u, r, c, hl))
+        if keep:
+            gates.append(step)
+    if not keep:
+        return states, None
     cache = {"cell": cell, "inputs": inputs, "outputs": states, "scores": scores,
              "order": order, "live": live, "gates": gates}
     return states, cache
@@ -241,13 +274,14 @@ def _recur_backward(params: GruParams, cache, d_states):
     return grads, d_inputs, d_scores
 
 
-def gru_forward(params: GruParams, inputs, valid_lens):
+def gru_forward(params: GruParams, inputs, valid_lens, *, keep=True):
     """Run the plain cell over (B, T, n_input) inputs with per-row lengths.
 
     Returns the (B, T, n_hidden) states and the cache the backward pass
-    needs; rows past their valid length repeat their last state.
+    needs (None with `keep` off); rows past their valid length repeat their
+    last state.
     """
-    return _recur(params, inputs, valid_lens)
+    return _recur(params, inputs, valid_lens, keep=keep)
 
 
 def gru_backward(params: GruParams, cache, d_states):
@@ -260,7 +294,8 @@ def gru_backward(params: GruParams, cache, d_states):
     return grads, d_inputs
 
 
-def evolve_forward(params: GruParams, states, scores, valid_lens, variant: str):
+def evolve_forward(params: GruParams, states, scores, valid_lens, variant: str, *,
+                   keep=True):
     """Run one evolution cell over the interest states.
 
     `states` is (B, T, n_hidden), `scores` the matching (B, T) relevance
@@ -268,13 +303,15 @@ def evolve_forward(params: GruParams, states, scores, valid_lens, variant: str):
     loop; the other two gate the blend with the scores.  Positions past a
     row's valid length carry the evolved state forward unchanged, so
     `evolved[:, -1]` is each row's final state (the zero state for a row of
-    length 0).  Returns (evolved states, cache).
+    length 0).  Returns (evolved states, cache), the cache None with `keep`
+    off.
     """
     if variant == AIGRU:
-        evolved, cache = _recur(params, states * scores[..., None], valid_lens)
-        cache.update(states=states, scores=scores)
+        evolved, cache = _recur(params, states * scores[..., None], valid_lens, keep=keep)
+        if keep:
+            cache.update(states=states, scores=scores)
         return evolved, cache
-    return _recur(params, states, valid_lens, scores, variant)
+    return _recur(params, states, valid_lens, scores, variant, keep=keep)
 
 
 def evolve_backward(params: GruParams, cache, d_evolved):

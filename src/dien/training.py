@@ -290,13 +290,14 @@ def grad_check(config: TrainConfig, tolerance: float = 1e-4,
         neg_cats = (neg_items - 1) % (n_cats - 1) + 1
         negatives = (neg_items, neg_cats)
 
-    # the fresh tables hold no gradient rows; the probes only run forward
+    # the fresh tables hold no gradient rows; the probes only run forward,
+    # so they keep no gate values for a backward
     analytic = model_backward(model, forward_batch(model, batch, negatives))
     analytic["item_emb"] = model.item_table.grad_columns()
     analytic["cat_emb"] = model.cat_table.grad_columns()
 
     def loss() -> float:
-        probe_ctx = forward_batch(model, batch, negatives)
+        probe_ctx = forward_batch(model, batch, negatives, for_backward=False)
         return total_loss(probe_ctx["l_target"], probe_ctx["l_aux"], config.alpha)
 
     report = GradCheckReport(tolerance=tolerance)

@@ -1,5 +1,6 @@
 """Property tests of the batched engine: a batch holds each distinct history
-once, and the score of a row does not depend on the rows scored beside it.
+once, the score of a row does not depend on the rows scored beside it, and
+a forward-only pass gives the caching pass's values bitwise.
 
 Batches are built from click/non-click pairs, as a corpus holds them, so the
 extractor runs once per pair.  Runs derandomized and without an example
@@ -30,8 +31,7 @@ N_ITEMS, N_CATS = 30, 6
 def paired_batches(draw):
     """(model, rows, permutation, split point) for a mixed-length batch of pairs."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    variant = draw(st.sampled_from([ModelVariant.DIEN, ModelVariant.TWO_LAYER_GRU_ATT,
-                                    ModelVariant.BASE]))
+    variant = draw(st.sampled_from(list(ModelVariant)))
     model = DienModel.build(variant, N_ITEMS, N_CATS, 4, 8, (6,), 1.0,
                             seed=draw(st.integers(0, 1000)))
     rows = []
@@ -67,6 +67,19 @@ def test_chunks_and_single_rows_agree_with_the_whole_batch(case):
     alone = np.array([probs(model, [row])[0] for row in rows])
     np.testing.assert_allclose(chunked, whole, rtol=0.0, atol=ALONE_TOLERANCE)
     np.testing.assert_allclose(alone, whole, rtol=0.0, atol=ALONE_TOLERANCE)
+
+
+@PROPERTY
+@given(paired_batches())
+def test_forward_only_gives_the_caching_values_bitwise(case):
+    model, rows, _, _ = case
+    batch = make_batch(rows)
+    kept = forward_batch(model, batch)
+    alone = forward_batch(model, batch, for_backward=False)
+    names = {ModelVariant.BASE: ["probs"],
+             ModelVariant.TWO_LAYER_GRU_ATT: ["probs", "scores", "states1", "states2"]}
+    for name in names.get(model.variant, ["probs", "scores", "states1", "evolved"]):
+        np.testing.assert_array_equal(alone[name], kept[name], err_msg=name)
 
 
 @st.composite

@@ -2,6 +2,7 @@
 independent per-row loop, and the checkpoint format."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -629,6 +630,45 @@ class TestBatchedEngineAgreement:
                 np.testing.assert_array_equal(
                     ids, np.concatenate([negs[keep_next], behaviors[keep], targets]))
                 assert shape == (ids.size, 3)
+
+    @pytest.mark.parametrize("variant", [ModelVariant.DIEN, ModelVariant.BASE])
+    def test_backward_refuses_a_forward_only_context(self, variant):
+        rng = np.random.default_rng(107)
+        model = build(variant, seed=17)
+        batch = make_batch([rand_instance(rng) for _ in range(4)])
+        ctx = forward_batch(model, batch, for_backward=False)
+        if variant.recurrent:
+            assert ctx["cache1"] is None and ctx["ecache"] is None
+        with pytest.raises(UsageError, match="for_backward=True"):
+            model_backward(model, ctx)
+        assert model.item_table.touched_ids().size == 0
+
+
+class TestForwardOnlyMemory:
+    def test_scoring_keeps_no_per_step_caches(self):
+        # a 512-row, 10-step DIEN chunk at the default widths: without the
+        # per-step gate values the traced peak is under half the caching
+        # call's, so backward caches cannot creep back into scoring
+        rng = np.random.default_rng(108)
+        model = DienModel.build(ModelVariant.DIEN, 201, 11, 16, 32, (64, 32), 1.0, seed=0)
+        rows = []
+        for _ in range(256):
+            items = tuple(int(v) for v in rng.integers(1, 201, size=10))
+            cats = tuple(int(v) for v in rng.integers(1, 11, size=10))
+            rows += [Instance(items, cats, int(rng.integers(1, 201)),
+                              int(rng.integers(1, 11)), label) for label in (1, 0)]
+        batch = make_batch(rows)
+        peaks = []
+        for for_backward in (True, False):
+            tracemalloc.start()
+            try:
+                forward_batch(model, batch, for_backward=for_backward)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        caching, forward_only = peaks
+        assert forward_only <= 0.5 * caching
 
 
 class TestCheckpoint:

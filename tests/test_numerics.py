@@ -41,6 +41,17 @@ class TestSigmoid:
         x = rng.uniform(-50, 50, size=1000)
         np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-12)
 
+    def test_out_holds_the_same_values(self):
+        # the recurrences write their gates in place: same operations, same bits
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-800, 800, size=(40, 8))
+        fresh = sigmoid(x)
+        out = np.empty_like(x)
+        assert sigmoid(x, out=out) is out
+        np.testing.assert_array_equal(out, fresh)
+        assert sigmoid(x, out=x) is x
+        np.testing.assert_array_equal(x, fresh)
+
 
 class TestLogSigmoid:
     def test_matches_log_of_sigmoid(self):

@@ -214,6 +214,22 @@ class TestSequenceEngine:
         np.testing.assert_array_equal(states[0], np.zeros((4, 3)))
         assert np.all(states[1] != 0.0)
 
+    @pytest.mark.parametrize("variant", [None, *EVOLUTION_VARIANTS])
+    def test_forward_only_keeps_no_cache_and_the_same_states(self, variant):
+        # the reused gate buffers of a forward-only pass hold each step's
+        # prefix of live rows; the states must not tell the two apart
+        rng = np.random.default_rng(55)
+        p = rand_params(4, 4, seed=56)
+        xs = rng.standard_normal((6, 7, 4))
+        scores = rng.uniform(0, 1, size=(6, 7))
+        lens = np.array([3, 7, 0, 1, 7, 5])
+        runs = [gru_forward(p, xs, lens, keep=keep) if variant is None
+                else evolve_forward(p, xs, scores, lens, variant, keep=keep)
+                for keep in (True, False)]
+        (kept, cache), (alone, none) = runs
+        assert cache is not None and none is None
+        np.testing.assert_array_equal(alone, kept)
+
     def test_one_step_zero_param_backward(self):
         # from h0 = 0 with all-zero parameters h1 = u * tanh(b_cand) with
         # u = 1/2, so the gradient of sum(h1) w.r.t. b_cand is exactly one
