@@ -239,10 +239,10 @@ def _joined(tokens: list, ids) -> str:
 def save_corpus(corpus: Corpus, path) -> None:
     """Write instances back out in file order; inverse of parse_corpus.
 
-    Tokens are read straight from the vocabularies' lists.  A history equal
+    Tokens are read from copies of the vocabularies' lists.  A history equal
     to the previous instance's, as a pair's is, is joined once.
     """
-    item_tokens, cat_tokens = corpus.item_vocab._tokens, corpus.cat_vocab._tokens
+    item_tokens, cat_tokens = corpus.item_vocab.tokens(), corpus.cat_vocab.tokens()
 
     def lines():
         history = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Corpus, Instance, truncate_history
-from .errors import ConfigError, DegenerateError, NumericError, ShapeError, UsageError
+from .errors import ConfigError, DegenerateError, NumericError, ShapeError
 from .model import DienModel, ModelVariant, forward_batch, make_batch
 from .recurrent import evolve_forward
 from .training import TrainConfig, train
@@ -87,8 +87,6 @@ def model_scores(model: DienModel, instances: list) -> np.ndarray:
     shorter than EVAL_CELLS // EVAL_CHUNK steps sort as that long, so they
     keep their input order and consecutive EVAL_CHUNK-row chunks.
     """
-    if not instances:
-        raise UsageError("no instances to score")
     steps = np.maximum([len(inst.history_items) for inst in instances],
                        EVAL_CELLS // EVAL_CHUNK)
     order = np.argsort(-steps, kind="stable")

@@ -28,7 +28,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .embedding import PAD_ID, EmbeddingTable
-from .errors import ConfigError, ParseError, ShapeError, UsageError
+from .errors import ConfigError, ParseError, UsageError
 from .numerics import log_sigmoid, sigmoid
 from .recurrent import (
     AGRU,
@@ -93,24 +93,6 @@ class MlpParams:
 
     weights: list  # weights[i]: (widths[i + 1], widths[i])
     biases: list
-
-    def __post_init__(self):
-        if not self.weights or len(self.weights) != len(self.biases):
-            raise ShapeError("need one bias per weight matrix")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            w = np.asarray(w, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-            if w.ndim != 2 or b.shape != (w.shape[0],):
-                raise ShapeError(f"layer {i}: weight {w.shape} vs bias {b.shape}")
-            if i and w.shape[1] != self.weights[i - 1].shape[0]:
-                raise ShapeError(
-                    f"layer {i} expects width {w.shape[1]} but layer {i - 1} "
-                    f"produces {self.weights[i - 1].shape[0]}"
-                )
-            self.weights[i] = w
-            self.biases[i] = b
-        if self.weights[-1].shape[0] != 1:
-            raise ShapeError("final layer must produce a single logit")
 
     @classmethod
     def init(cls, widths, rng: np.random.Generator) -> "MlpParams":
@@ -201,8 +183,6 @@ class DienModel:
     def __init__(self, variant: ModelVariant, alpha: float, item_table, cat_table,
                  extractor, evolver, attention, mlp, embed_dim: int, hidden_size: int,
                  mlp_widths: list):
-        if not (np.isfinite(alpha) and alpha >= 0):
-            raise ConfigError(f"alpha must be finite and nonnegative, got {alpha}")
         self.variant = variant
         self.alpha = float(alpha)
         self.item_table = item_table
@@ -391,8 +371,6 @@ class Batch:
 def make_batch(instances: list) -> Batch:
     """Number the distinct histories (a click/non-click pair shares one) and
     pad each of them once to the batch's longest."""
-    if not instances:
-        raise UsageError("empty instance list")
     seen: dict = {}
     history_of, first_rows = [], []
     for row, inst in enumerate(instances):
@@ -642,6 +620,4 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
 
 def total_loss(l_target: float, l_aux: float, alpha: float) -> float:
     """Combined objective: click loss plus alpha times the next-behavior loss."""
-    if not alpha >= 0:
-        raise ConfigError(f"alpha must be nonnegative, got {alpha}")
     return float(l_target) + float(alpha) * float(l_aux)

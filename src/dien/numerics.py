@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 
 
 def sigmoid(x, out=None) -> np.ndarray:
@@ -43,14 +43,12 @@ def finite_diff_grad(
     """Central-difference gradient of `f()` with respect to the entries of `arr`.
 
     grad[k] = (f() at arr[k] + eps - f() at arr[k] - eps) / (2*eps), with
-    `arr` perturbed in place, so `f` must read it.  Each entry is restored
-    before the next, also when `f` raises.  `f` must be deterministic; a
-    non-finite evaluation raises NumericError naming the flat coordinate.
+    `arr` perturbed in place, so `f` must read it: a float64 ndarray, with
+    `epsilon` finite and positive, as `grad_check` checks.  Each entry is
+    restored before the next, also when `f` raises.  `f` must be
+    deterministic; a non-finite evaluation raises NumericError naming the
+    flat coordinate.
     """
-    if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64):
-        raise ShapeError("finite_diff_grad perturbs arr in place: it must be a float64 ndarray")
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise DomainError(f"epsilon must be finite and positive, got {epsilon}")
     grad = np.empty_like(arr)
     for k, idx in enumerate(np.ndindex(arr.shape)):
         orig = arr[idx]

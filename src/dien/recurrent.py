@@ -39,7 +39,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ShapeError
 from .numerics import sigmoid
 
 AIGRU = "aigru"  # attention scales the cell input
@@ -61,14 +60,6 @@ class GruParams:
     w_cand: np.ndarray
     u_cand: np.ndarray
     b_cand: np.ndarray
-
-    def __post_init__(self):
-        n_hidden, n_input = np.shape(self.w_update)
-        for name, shape in gru_shapes(n_input, n_hidden).items():
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != shape:
-                raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
-            setattr(self, name, arr)
 
     @property
     def n_hidden(self) -> int:
@@ -101,11 +92,6 @@ class AttentionParams:
     """Bilinear form scoring hidden states against the target embedding."""
 
     w: np.ndarray  # (n_hidden, n_target)
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        if self.w.ndim != 2:
-            raise ShapeError(f"attention weight must be 2-D, got shape {self.w.shape}")
 
     @classmethod
     def init(cls, n_hidden: int, n_target: int, rng: np.random.Generator) -> "AttentionParams":

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Corpus, Instance, truncate_history
-from .errors import ConfigError, DivergenceError, ShapeError, UsageError
+from .errors import ConfigError, DivergenceError, UsageError
 from .model import (
     DienModel,
     ModelVariant,
@@ -113,10 +113,6 @@ def adam_step(params: dict, grads: dict, state: dict, lr: float) -> dict:
     state["t"] += 1
     for name, p in params.items():
         g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(
-                f"gradient for {name!r} has shape {g.shape}, parameter {p.shape}"
-            )
         step, scratch = np.empty_like(p), np.empty_like(p)
         _adam_moves(state["m"][name], state["v"][name], g, state["t"], lr, step, scratch)
         p -= step

@@ -8,18 +8,29 @@ over five corpus seeds) are built once per module and shared.
 Run with -s to see the verdict lines as they happen.
 """
 
+import hashlib
+import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dien.cli import main
-from dien.data import SynthConfig, synth_generate
-from dien.evaluation import auc, build_viz_probes, pca_project, run_ablation, viz_bundle
+from dien.data import SynthConfig, save_corpus, synth_generate
+from dien.evaluation import (
+    auc,
+    build_viz_probes,
+    evaluate,
+    pca_project,
+    run_ablation,
+    viz_bundle,
+    write_metrics,
+)
 from dien.model import ModelVariant
 from dien.recurrent import AGRU, AIGRU, AUGRU, GruParams, evolve_forward, gru_forward
-from dien.training import TrainConfig, grad_check, train
+from dien.training import TrainConfig, grad_check, train, write_curves
 
 pytestmark = pytest.mark.acceptance
 
@@ -27,6 +38,9 @@ ABLATION_VARIANTS = [ModelVariant.BASE, ModelVariant.TWO_LAYER_GRU_ATT,
                      ModelVariant.GRU_AUGRU, ModelVariant.DIEN]
 
 ELAPSED: dict = {}
+
+# sha256 of the default run's files, keyed by the build they were recorded on
+DIGESTS = Path(__file__).with_name("digests.json")
 
 
 def verdict(ok: bool, gate: str, detail: str) -> str:
@@ -248,6 +262,45 @@ def test_bitwise_reproducibility(tmp_path_factory):
                    f"repeat training byte-identical (checkpoint={same_ckpt}, "
                    f"curves={same_curves}), repeat eval byte-identical "
                    f"({same_eval})")
+    assert ok, line
+
+
+def build_fingerprint() -> str:
+    """numpy's version and its BLAS's name and version, which the default
+    run's bytes may depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        blas = "unknown BLAS"
+    return f"numpy {np.__version__}, {blas}"
+
+
+def test_default_artifacts_match_recorded_digests(default_corpus, dien_runs, tmp_path):
+    """The default run's corpus, checkpoint, curves and metrics, as `dien
+    synth`, `train` and `eval` write them, hash to the digests recorded for
+    this build.  The determinism gate compares two runs with each other, so
+    only this catches an arithmetic change that both runs share."""
+    model, curves = dien_runs[0]
+    save_corpus(default_corpus, tmp_path / "corpus.tsv")
+    model.save(tmp_path / "model.ckpt")
+    write_curves(tmp_path / "curves.csv", curves)
+    report = evaluate(model, default_corpus.test())
+    write_metrics(tmp_path / "metrics.csv", [(model.variant, 0, report.auc)])
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in ("corpus.tsv", "model.ckpt", "curves.csv", "metrics.csv")}
+    build = build_fingerprint()
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8")).get(build)
+    if recorded is None:
+        note = f"no digests recorded for {build!r}; this build's: {json.dumps(got)}"
+        print(f"SKIP default digests: {note}")
+        pytest.skip(note)
+    differ = [name for name, digest in got.items() if recorded.get(name) != digest]
+    ok = not differ
+    line = verdict(ok, "default digests",
+                   f"{len(got) - len(differ)}/{len(got)} files match the digests of "
+                   f"{build!r} (AUC {report.auc})"
+                   + (f", differing: {', '.join(differ)}" if differ else ""))
     assert ok, line
 
 

@@ -1,5 +1,5 @@
 """Command-line behavior: config precedence, the settings echo, exit codes,
-and one smoke run per subcommand."""
+and one smoke run per subcommand; and the library surface README shows."""
 
 import contextlib
 import importlib.metadata
@@ -376,10 +376,10 @@ class TestInfiniteAlpha:
     an aux loss of 0 is NaN, which ended the first step as a non-finite
     loss (exit 2) after the model was built."""
 
-    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    @pytest.mark.parametrize("command", ["train", "ablation", "gradcheck"])
     def test_exit_1_with_one_line(self, command, corpus_dir, tmp_path, capsys):
         argv = [command, "--alpha", "inf", "--out", str(tmp_path / "out")]
-        if command == "train":
+        if command != "gradcheck":
             argv += ["--corpus", str(corpus_dir / "corpus.tsv")]
         rc = main(argv)
         captured = capsys.readouterr()
@@ -575,6 +575,7 @@ CORRUPT_CHECKPOINTS = {
         _header_edit(lambda h: {k: v for k, v in h.items() if k != "arrays"}), "'arrays'"),
     "text embed_dim": (_header_edit(lambda h: {**h, "embed_dim": "x"}), "'embed_dim'"),
     "NaN alpha": (_header_edit(lambda h: {**h, "alpha": float("nan")}), "'alpha'"),
+    "negative alpha": (_header_edit(lambda h: {**h, "alpha": -0.5}), "'alpha'"),
     # alpha is a JSON number and version the JSON integer 1: float() read
     # true as 1.0 and "2.5" as 2.5, and true passed `!= 1`
     "boolean alpha": (_header_edit(lambda h: {**h, "alpha": True}), "'alpha'"),
@@ -753,3 +754,24 @@ class TestConsoleScript:
             assert done.returncode == 1, done.stderr
             assert "corpus" in done.stderr
             assert "Traceback" not in done.stderr
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestLibraryUse:
+    """README's library example is the library's contract: library code
+    imports the submodules, and the package root exports only its version."""
+
+    def test_readme_example_runs(self, tmp_path):
+        section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+        done = _run_script([sys.executable, "-c", code], [], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert 0.5 < float(done.stdout) <= 1.0
+
+    def test_package_root_exports_only_its_version(self, tmp_path):
+        code = "import dien; print(dien.__version__, *(n for n in dir(dien) if n[0] != '_'))"
+        done = _run_script([sys.executable, "-c", code], [], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [dien.__version__]

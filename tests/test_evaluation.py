@@ -8,7 +8,7 @@ import pytest
 
 from dien import evaluation
 from dien.data import SynthConfig, synth_generate, truncate_history
-from dien.errors import ConfigError, DegenerateError, NumericError, ShapeError, UsageError
+from dien.errors import ConfigError, DegenerateError, NumericError, ShapeError
 from dien.evaluation import (
     EVAL_CELLS,
     EVAL_CHUNK,
@@ -213,11 +213,6 @@ class TestModelScores:
             forward_batch(model, make_batch(rows[i:i + EVAL_CHUNK]))["probs"]
             for i in range(0, len(rows), EVAL_CHUNK)])
         np.testing.assert_array_equal(model_scores(model, rows), consecutive)
-
-    def test_empty_rejected(self):
-        model = DienModel.build(ModelVariant.BASE, 5, 3, 2, 4, (4,), 0.0, seed=0)
-        with pytest.raises(UsageError):
-            model_scores(model, [])
 
 
 class TestRepeatEval:

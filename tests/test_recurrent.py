@@ -9,7 +9,6 @@ equations, and the cell identities (unit score, zero score) are exact.
 import numpy as np
 import pytest
 
-from dien.errors import ShapeError
 from dien.numerics import max_rel_error, sigmoid
 from dien.recurrent import (
     AGRU,
@@ -424,14 +423,6 @@ class TestSingleSequenceSurfaces:
 
 
 class TestParamContainers:
-    def test_shape_validation_names_field(self):
-        with pytest.raises(ShapeError, match="u_update"):
-            GruParams(
-                w_update=np.zeros((3, 2)), u_update=np.zeros((3, 4)), b_update=np.zeros(3),
-                w_reset=np.zeros((3, 2)), u_reset=np.zeros((3, 3)), b_reset=np.zeros(3),
-                w_cand=np.zeros((3, 2)), u_cand=np.zeros((3, 3)), b_cand=np.zeros(3),
-            )
-
     def test_init_bound_and_determinism(self):
         a = GruParams.init(3, 9, np.random.default_rng(9))
         b = GruParams.init(3, 9, np.random.default_rng(9))

@@ -8,7 +8,7 @@ import pytest
 
 from dien.data import SynthConfig, synth_generate
 from dien.embedding import EmbeddingTable
-from dien.errors import ConfigError, ShapeError, UsageError
+from dien.errors import ConfigError, UsageError
 from dien.model import ModelVariant
 from dien.training import (
     ADAM_BETA1,
@@ -103,10 +103,6 @@ class TestAdamStep:
         state = adam_step(params, {"p": np.ones(2)}, {}, lr=0.01)
         adam_step(params, {"p": np.ones(2)}, state, lr=0.01)
         assert state["t"] == 2
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            adam_step({"p": np.zeros(2)}, {"p": np.zeros(3)}, {}, lr=0.01)
 
 
 class TestSparseAdam:
