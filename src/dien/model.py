@@ -452,6 +452,7 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None, *,
     items_e = model.item_table.lookup_many(batch.history_items)
     cats_e = model.cat_table.lookup_many(batch.history_cats)
     behaviors = np.concatenate([items_e, cats_e], axis=2)
+    del items_e, cats_e
     targets = np.concatenate([
         model.item_table.lookup_many(batch.target_items),
         model.cat_table.lookup_many(batch.target_cats),

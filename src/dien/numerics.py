@@ -20,12 +20,17 @@ def sigmoid(x, out=None) -> np.ndarray:
     """Elementwise logistic function, stable over the whole float64 range.
 
     Uses the branch-free form exp(min(x,0)) / (1 + exp(-|x|)) so neither
-    branch can overflow; large negative inputs underflow cleanly to 0.
-    `out`, which may be `x` itself, receives the result.
+    branch can overflow; large negative inputs underflow cleanly to 0.  With
+    z = exp(-|x|) in (0, 1], the numerator is max(1[x >= 0], z): exactly 1
+    or z.  `out`, which may be `x` itself, receives the result, so an
+    in-place call allocates only z.
     """
     x = np.asarray(x, dtype=np.float64)
-    z = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0.0, 1.0, z), 1.0 + z, out=out)
+    z = np.abs(x, out=np.empty(x.shape))
+    np.exp(np.negative(z, out=z), out=z)
+    num = np.greater_equal(x, 0.0, out=np.empty(x.shape) if out is None else out)
+    np.maximum(num, z, out=num)
+    return np.divide(num, np.add(z, 1.0, out=z), out=num)
 
 
 def log_sigmoid(x) -> np.ndarray:

@@ -18,8 +18,9 @@ cell and a zero score keeps the state, bit for bit.
 The loop is packed, like `sequence_length` in a dynamic RNN: rows are
 visited longest first, and step t computes gates for the rows still inside
 their history only.  A row past its valid length repeats its last state,
-and a row of length 0 stays at the zero state.  A batch of full-length rows
-is visited in its own order, every row at every step.
+and a row of length 0 stays at the zero state.  A batch whose lengths
+already run longest first (full-length rows, say) is visited in its own
+order and indexed by slices, with no per-step gather or scatter.
 
 Backward passes are hand-derived and consume the per-step gate values the
 forward pass keeps for them; a forward pass that no backward will read
@@ -146,7 +147,8 @@ def _recur(params: GruParams, inputs, valid_lens, scores=None, cell=None, *, kee
     `cell` None runs the plain cell; AGRU and AUGRU read the (B, T) scores.
     Rows are visited longest first (a stable sort of the valid lengths), so
     step t runs the gates on the live prefix `order[:n_t]` only.  A row past
-    its valid length is not stepped: its state carries forward.
+    its valid length is not stepped: its state carries forward.  When the
+    lengths already run longest first, `order` is the slice of every row.
 
     `keep` keeps each step's gate values for the backward pass.  Off, no
     backward will run: every step writes its gates into one reused set of
@@ -156,21 +158,24 @@ def _recur(params: GruParams, inputs, valid_lens, scores=None, cell=None, *, kee
     batch, steps, n_input = inputs.shape
     n_hidden = params.n_hidden
     lens = np.asarray(valid_lens, dtype=np.int64).reshape(batch)
-    order = np.argsort(-lens, kind="stable")
+    in_order = bool(np.all(lens[:-1] >= lens[1:]))
+    order = slice(None) if in_order else np.argsort(-lens, kind="stable")
     live = (lens[:, None] > np.arange(steps)).sum(axis=0)  # n_t
     h = np.zeros((batch, n_hidden))  # in visiting order
     states = np.empty((batch, steps, n_hidden))
-    x_all = np.empty((batch, n_input))
+    x_all = None if in_order else np.empty((batch, n_input))
     # the blend gate, (1 - gate) * h_prev and gate * cand: never cached
     blend = np.empty((3, batch, n_hidden))
     reused = None if keep else np.empty((4, batch, n_hidden))
     gates = []  # per step, (n_t, H) update, reset, cand and cand_hid
     for t, n in enumerate(live):
+        rows = _live_rows(order, n)
         # the indices are in range, so "clip" only spares take a buffered copy
-        x = np.take(inputs[:, t], order[:n], axis=0, out=x_all[:n], mode="clip")
+        x = inputs[rows, t] if in_order else np.take(inputs[:, t], rows, axis=0,
+                                                       out=x_all[:n], mode="clip")
         step = [np.empty((n, n_hidden)) for _ in range(4)] if keep else reused[:, :n]
         u, _, c, _ = _gates(params, x, h[:n], step)
-        gate = _blend_gate(cell, u, None if cell is None else scores[order[:n], t][:, None],
+        gate = _blend_gate(cell, u, None if cell is None else scores[rows, t][:, None],
                            out=blend[0, :n])
         carried = np.subtract(1.0, gate, out=blend[1, :n])
         carried *= h[:n]
@@ -183,6 +188,11 @@ def _recur(params: GruParams, inputs, valid_lens, scores=None, cell=None, *, kee
     cache = {"cell": cell, "inputs": inputs, "outputs": states, "scores": scores,
              "order": order, "live": live, "gates": gates}
     return states, cache
+
+
+def _live_rows(order, n):
+    """The first n rows in visiting order: a slice when `order` is one."""
+    return slice(n) if isinstance(order, slice) else order[:n]
 
 
 def _gate_backward(params, grads, x, gates, h_prev, d_update, d_cand, d_h_prev):
@@ -238,7 +248,7 @@ def _recur_backward(params: GruParams, cache, d_states):
     dh = np.zeros((batch, params.n_hidden))  # in visiting order
     for t in range(steps - 1, -1, -1):
         n = cache["live"][t]
-        rows = order[:n]
+        rows = _live_rows(order, n)
         dh = d_states[order, t] + dh
         u, _, c, _ = cache["gates"][t]
         h_prev = states[rows, t - 1] if t else np.zeros((n, params.n_hidden))

@@ -8,7 +8,9 @@ over five corpus seeds) are built once per module and shared.
 Run with -s to see the verdict lines as they happen.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import time
 from dataclasses import replace
@@ -278,17 +280,28 @@ def build_fingerprint() -> str:
 
 def test_default_artifacts_match_recorded_digests(default_corpus, dien_runs, tmp_path):
     """The default run's corpus, checkpoint, curves and metrics, as `dien
-    synth`, `train` and `eval` write them, hash to the digests recorded for
-    this build.  The determinism gate compares two runs with each other, so
-    only this catches an arithmetic change that both runs share."""
+    synth`, `train` and `eval` write them, its `dien viz` files and the
+    report `dien gradcheck` prints at its defaults hash to the digests
+    recorded for this build.  The determinism gate compares two runs with
+    each other, so only this catches an arithmetic change that both runs
+    share, on the training, the forward-only and the finite-difference
+    paths alike."""
     model, curves = dien_runs[0]
     save_corpus(default_corpus, tmp_path / "corpus.tsv")
     model.save(tmp_path / "model.ckpt")
     write_curves(tmp_path / "curves.csv", curves)
     report = evaluate(model, default_corpus.test())
     write_metrics(tmp_path / "metrics.csv", [(model.variant, 0, report.auc)])
+    viz_bundle(model, default_corpus).write(tmp_path / "viz_trajectories.csv",
+                                            tmp_path / "viz_attention.csv")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main(["gradcheck", "--out", str(tmp_path / "gradcheck")]) == 0
+    (tmp_path / "gradcheck.txt").write_text(printed.getvalue(), encoding="utf-8",
+                                            newline="\n")
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in ("corpus.tsv", "model.ckpt", "curves.csv", "metrics.csv")}
+           for name in ("corpus.tsv", "model.ckpt", "curves.csv", "metrics.csv",
+                        "viz_trajectories.csv", "viz_attention.csv", "gradcheck.txt")}
     build = build_fingerprint()
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8")).get(build)
     if recorded is None:

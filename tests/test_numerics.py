@@ -3,6 +3,8 @@ and the attention softmax, and the central-difference gradient oracle that
 the rest of the suite leans on.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,29 @@ class TestSigmoid:
         np.testing.assert_array_equal(out, fresh)
         assert sigmoid(x, out=x) is x
         np.testing.assert_array_equal(x, fresh)
+
+    @pytest.mark.parametrize("scale", [None, 1e-20, 1e-5, 1.0, 36.0, 1e3])
+    def test_bit_for_bit_with_the_where_form(self, scale):
+        # the numerator max(1[x >= 0], z) is exactly where(x >= 0, 1, z),
+        # into a fresh array, another array or x itself
+        if scale is None:
+            x = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 36.7, -36.7,
+                          709.0, -709.0, 745.0, -745.0, 746.0, -746.0, 1e308, -1e308,
+                          np.inf, -np.inf, np.nan])
+        else:
+            x = np.random.default_rng(6).standard_normal(4000) * scale
+        z = np.exp(-np.abs(x))
+        want = np.divide(np.where(x >= 0, 1.0, z), 1.0 + z)
+        before = x.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fresh = sigmoid(x)
+            out = sigmoid(x, out=np.empty_like(x))
+            np.testing.assert_array_equal(x, before)
+            in_place = sigmoid(x, out=x)
+        for got in (fresh, out, in_place):
+            np.testing.assert_array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLogSigmoid:

@@ -229,6 +229,38 @@ class TestSequenceEngine:
         assert cache is not None and none is None
         np.testing.assert_array_equal(alone, kept)
 
+    @pytest.mark.parametrize("variant", [None, *EVOLUTION_VARIANTS])
+    def test_in_order_batch_matches_its_shuffle_bit_for_bit(self, variant):
+        # distinct lengths, so both batches are visited in the same row
+        # order: the in-order one through slices, the shuffled one through
+        # gathers and scatters, with the same arithmetic row for row
+        rng = np.random.default_rng(57)
+        p = rand_params(3, 4, seed=58)
+        xs = rng.standard_normal((6, 6, 3))
+        scores = rng.uniform(0, 1, size=(6, 6))
+        d_out = rng.standard_normal((6, 6, 4))
+        lens = np.array([6, 5, 3, 2, 1, 0])
+        perm = np.array([3, 0, 5, 1, 4, 2])
+
+        def forward(rows, keep):
+            if variant is None:
+                return gru_forward(p, xs[rows], lens[rows], keep=keep)
+            return evolve_forward(p, xs[rows], scores[rows], lens[rows], variant, keep=keep)
+
+        def run(rows):
+            out, cache = forward(rows, True)
+            np.testing.assert_array_equal(forward(rows, False)[0], out)
+            if variant is None:
+                return (out, *gru_backward(p, cache, d_out[rows]), None)
+            return (out, *evolve_backward(p, cache, d_out[rows]))
+
+        ordered, shuffled = run(np.arange(6)), run(perm)
+        for k in (0, 2, 3):  # states, d_inputs, d_scores
+            if ordered[k] is not None:
+                np.testing.assert_array_equal(shuffled[k], ordered[k][perm])
+        for name, grad in ordered[1].items():
+            np.testing.assert_array_equal(shuffled[1][name], grad, err_msg=name)
+
     def test_one_step_zero_param_backward(self):
         # from h0 = 0 with all-zero parameters h1 = u * tanh(b_cand) with
         # u = 1/2, so the gradient of sum(h1) w.r.t. b_cand is exactly one
