@@ -164,16 +164,14 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def _write_echo(out_dir: Path, command: str, values: dict) -> None:
-    lines = [f"[{command}]"]
-    lines += [f"{key} = {_fmt_value(values[key])}" for key in sorted(values)]
-    (out_dir / f"{command}_config.ini").write_text("\n".join(lines) + "\n",
-                                                  encoding="utf-8")
-
-
-def _out_dir(values: dict) -> Path:
+def _out_dir(command: str, values: dict) -> Path:
+    """The output directory, made if missing, with the settings echoed
+    into it as `<command>_config.ini`."""
     out = Path(values["out"])
     out.mkdir(parents=True, exist_ok=True)
+    lines = [f"[{command}]"]
+    lines += [f"{key} = {_fmt_value(values[key])}" for key in sorted(values)]
+    (out / f"{command}_config.ini").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out
 
 
@@ -188,8 +186,7 @@ def _config(config_cls, values: dict):
 
 def cmd_synth(values: dict) -> int:
     corpus = synth_generate(_config(SynthConfig, values))
-    out = _out_dir(values)
-    _write_echo(out, "synth", values)
+    out = _out_dir("synth", values)
     save_corpus(corpus, out / "corpus.tsv")
     log.info("wrote %d instances (%d train / %d test) to %s",
              len(corpus.instances), len(corpus.train_idx), len(corpus.test_idx),
@@ -201,8 +198,7 @@ def cmd_train(values: dict) -> int:
     cfg = _config(TrainConfig, values)
     corpus = parse_corpus(values["corpus"], split_seed=values["split_seed"])
     model, curves = train(corpus, cfg)
-    out = _out_dir(values)
-    _write_echo(out, "train", values)
+    out = _out_dir("train", values)
     model.save(out / "model.ckpt")
     write_curves(out / "curves.csv", curves)
     tail = curves[-1].l_total if curves else float("nan")
@@ -215,8 +211,7 @@ def cmd_eval(values: dict) -> int:
     model = DienModel.load(values["checkpoint"])
     corpus = parse_corpus(values["corpus"], split_seed=values["split_seed"])
     report = evaluate(model, corpus.test(), max_history=values["max_history"])
-    out = _out_dir(values)
-    _write_echo(out, "eval", values)
+    out = _out_dir("eval", values)
     write_metrics(out / "metrics.csv", [(model.variant, values["seed"], report.auc)])
     log.info("auc %.6f on %d positives / %d negatives", report.auc,
              report.n_pos, report.n_neg)
@@ -228,8 +223,7 @@ def cmd_ablation(values: dict) -> int:
     variants = [ModelVariant.parse(v) for v in values["variants"]]
     corpus = parse_corpus(values["corpus"], split_seed=values["split_seed"])
     results = run_ablation(corpus, cfg, variants, n_repeats=values["n_repeats"])
-    out = _out_dir(values)
-    _write_echo(out, "ablation", values)
+    out = _out_dir("ablation", values)
     metric_rows = []
     for variant, report in results:
         for k, value in enumerate(report.per_seed):
@@ -243,8 +237,7 @@ def cmd_ablation(values: dict) -> int:
 def cmd_gradcheck(values: dict) -> int:
     report = grad_check(_config(TrainConfig, values), tolerance=values["tolerance"],
                         epsilon=values["epsilon"])
-    out = _out_dir(values)
-    _write_echo(out, "gradcheck", values)
+    out = _out_dir("gradcheck", values)
     for line in report.lines():
         print(line)
     verdict = "PASS" if report.passed() else "FAIL"
@@ -259,8 +252,7 @@ def cmd_viz(values: dict) -> int:
     # the probes read only the vocabularies and item categories, not the split
     corpus = parse_corpus(values["corpus"])
     bundle = viz_bundle(model, corpus, steps=values["steps"])
-    out = _out_dir(values)
-    _write_echo(out, "viz", values)
+    out = _out_dir("viz", values)
     bundle.write(out / "viz_trajectories.csv", out / "viz_attention.csv")
     log.info("wrote %d trajectories over %d steps to %s", len(bundle.labels),
              values["steps"], out)

@@ -62,21 +62,13 @@ class EmbeddingTable:
         Repeated ids sum.  Each id's rows are added in input order starting
         from zero, after the rows stored by earlier calls, which is the order
         a scatter-add into a zeroed dense buffer would use, so the sums are
-        bitwise the same.
+        bitwise the same.  `lookup_many` checked the ids in the same forward
+        pass, and `grads` holds one row of this table's width per id.
         """
         ids = np.asarray(ids, dtype=np.int64).ravel()
-        grads = np.asarray(grads, dtype=np.float64)
-        if grads.size != ids.size * self.dim:
-            raise ShapeError(
-                f"{grads.size} gradient values for {ids.size} ids of dim {self.dim}"
-            )
-        grads = grads.reshape(ids.size, self.dim)
+        grads = np.asarray(grads, dtype=np.float64).reshape(ids.size, self.dim)
         if ids.size == 0:
             return
-        if ids.min() < 0 or ids.max() >= self.vocab_size:
-            raise VocabularyError(
-                f"id outside vocabulary of size {self.vocab_size} in batch accumulate"
-            )
         if self._grad_ids.size:
             ids = np.concatenate([self._grad_ids, ids])
             grads = np.concatenate([self._grad_rows, grads])

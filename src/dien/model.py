@@ -94,25 +94,6 @@ class MlpParams:
     weights: list  # weights[i]: (widths[i + 1], widths[i])
     biases: list
 
-    @classmethod
-    def init(cls, widths, rng: np.random.Generator) -> "MlpParams":
-        """widths = [input, hidden..., 1], seeded uniform +-1/sqrt(fan_in)."""
-        if len(widths) < 2 or widths[-1] != 1 or any(w < 1 for w in widths):
-            raise ConfigError(f"bad layer widths {list(widths)}")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-            biases.append(rng.uniform(-bound, bound, size=fan_out))
-        return cls(weights=weights, biases=biases)
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"w{i}"] = w
-            out[f"b{i}"] = b
-        return out
-
 
 def mlp_forward(mlp: MlpParams, feats: np.ndarray):
     """ReLU stack over (B, n_input) features; returns ((B,) logits, cache)."""
@@ -178,19 +159,29 @@ def array_layout(variant: ModelVariant, item_vocab: int, cat_vocab: int, embed_d
 
 
 class DienModel:
-    """Parameter bundle for one variant: embeddings, cells, attention, head."""
+    """Parameter bundle for one variant: embeddings, cells, attention, head.
+
+    `params` maps each dense array's `array_layout` name to it, in checkpoint
+    order; the cell, attention and head containers hold the same objects."""
 
     def __init__(self, variant: ModelVariant, alpha: float, item_table, cat_table,
-                 extractor, evolver, attention, mlp, embed_dim: int, hidden_size: int,
-                 mlp_widths: list):
+                 params: dict, embed_dim: int, hidden_size: int, mlp_widths: list):
         self.variant = variant
         self.alpha = float(alpha)
         self.item_table = item_table
         self.cat_table = cat_table
-        self.extractor = extractor
-        self.evolver = evolver
-        self.attention = attention
-        self.mlp = mlp
+        self._params = params
+
+        def group(prefix):
+            return {k[len(prefix):]: a for k, a in params.items() if k.startswith(prefix)}
+
+        self.extractor = self.evolver = self.attention = None
+        if variant.recurrent:
+            self.extractor = GruParams(**group("extractor."))
+            self.evolver = GruParams(**group("evolver."))
+            self.attention = AttentionParams(**group("attention."))
+        head = list(group("mlp.").values())  # w0, b0, w1, b1, ...
+        self.mlp = MlpParams(weights=head[::2], biases=head[1::2])
         self.embed_dim = int(embed_dim)
         self.hidden_size = int(hidden_size)
         self.mlp_widths = list(mlp_widths)
@@ -205,8 +196,9 @@ class DienModel:
         embedding width (item plus category), because the next-behavior loss
         scores states against behavior embeddings by inner product.
         """
-        if embed_dim < 1 or hidden_size < 1:
-            raise ConfigError("embed_dim and hidden_size must be positive")
+        if embed_dim < 1 or hidden_size < 1 or any(w < 1 for w in mlp_hidden):
+            raise ConfigError("embed_dim, hidden_size and the head widths must be positive, "
+                              f"got {embed_dim}, {hidden_size} and {list(mlp_hidden)}")
         behavior_width = 2 * embed_dim
         if variant.recurrent and hidden_size != behavior_width:
             raise ConfigError(
@@ -223,32 +215,24 @@ class DienModel:
         rng = np.random.default_rng(seed)
         item_table = EmbeddingTable(item_vocab, embed_dim, rng=rng)
         cat_table = EmbeddingTable(cat_vocab, embed_dim, rng=rng)
-        extractor = evolver = attention = None
-        if variant.recurrent:
-            extractor = GruParams.init(behavior_width, hidden_size, rng)
-            evolver = GruParams.init(hidden_size, hidden_size, rng)
-            attention = AttentionParams.init(hidden_size, behavior_width, rng)
-        mlp = MlpParams.init(widths, rng)
-        return cls(variant, alpha, item_table, cat_table, extractor, evolver,
-                   attention, mlp, embed_dim, hidden_size, widths)
+        # uniform in ±1/sqrt(fan in), a weight's last axis; a bias takes its weight's
+        # bound.  Both cells get ±1/sqrt(n_hidden): the check above makes it their fan in
+        params = {}
+        for name, shape in layout[2:]:  # after the two tables
+            if len(shape) > 1:
+                bound = 1.0 / np.sqrt(shape[-1])
+            params[name] = rng.uniform(-bound, bound, size=shape)
+        return cls(variant, alpha, item_table, cat_table, params, embed_dim, hidden_size,
+                   widths)
 
     def param_arrays(self) -> dict[str, np.ndarray]:
-        """Live dense parameters, prefixed by component, in a fixed order."""
-        out: dict[str, np.ndarray] = {}
-        if self.variant.recurrent:
-            for prefix, group in (("extractor", self.extractor), ("evolver", self.evolver),
-                                  ("attention", self.attention)):
-                for name, arr in group.arrays().items():
-                    out[f"{prefix}.{name}"] = arr
-        for name, arr in self.mlp.arrays().items():
-            out[f"mlp.{name}"] = arr
-        return out
+        """Live dense parameters, prefixed by component, in checkpoint order."""
+        return dict(self._params)
 
     def all_arrays(self) -> dict[str, np.ndarray]:
         """param_arrays plus dim x vocab views of the two tables, in checkpoint order."""
-        out = {"item_emb": self.item_table.weights.T, "cat_emb": self.cat_table.weights.T}
-        out.update(self.param_arrays())
-        return out
+        return {"item_emb": self.item_table.weights.T, "cat_emb": self.cat_table.weights.T,
+                **self._params}
 
     # -- checkpoint io ------------------------------------------------------
 
@@ -429,6 +413,12 @@ def draw_negative_items(rng: np.random.Generator, vocab_size: int,
     return 1 + draws + (draws >= np.maximum(excluded, 1) - 1)
 
 
+def _embed(model: DienModel, items, cats) -> np.ndarray:
+    """Item vectors joined with category vectors on the last axis."""
+    return np.concatenate([model.item_table.lookup_many(items),
+                           model.cat_table.lookup_many(cats)], axis=-1)
+
+
 def forward_batch(model: DienModel, batch: Batch, negatives=None, *,
                   for_backward=True) -> dict:
     """Run the variant end to end over a batch.
@@ -449,14 +439,8 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None, *,
     row.  The attention, the evolution cell, the head and both losses stay
     per row.
     """
-    items_e = model.item_table.lookup_many(batch.history_items)
-    cats_e = model.cat_table.lookup_many(batch.history_cats)
-    behaviors = np.concatenate([items_e, cats_e], axis=2)
-    del items_e, cats_e
-    targets = np.concatenate([
-        model.item_table.lookup_many(batch.target_items),
-        model.cat_table.lookup_many(batch.target_cats),
-    ], axis=1)
+    behaviors = _embed(model, batch.history_items, batch.history_cats)
+    targets = _embed(model, batch.target_items, batch.target_cats)
     n_rows = batch.labels.size
     n_histories, width = batch.history_items.shape
     mask = step_masks(batch.history_lens, n_histories, width)
@@ -501,10 +485,7 @@ def forward_batch(model: DienModel, batch: Batch, negatives=None, *,
 
     if negatives is not None and model.variant.recurrent and width > 1:
         neg_items, neg_cats = negatives
-        neg_e = np.concatenate([
-            model.item_table.lookup_many(neg_items),
-            model.cat_table.lookup_many(neg_cats),
-        ], axis=2)
+        neg_e = _embed(model, neg_items, neg_cats)
         h = ctx["states1"][:, :-1]
         pos_e = _by_row(batch, behaviors[:, 1:])
         mask_next = _by_row(batch, mask[:, 1:])

@@ -66,13 +66,6 @@ class GruParams:
     def n_hidden(self) -> int:
         return self.w_update.shape[0]
 
-    @classmethod
-    def init(cls, n_input: int, n_hidden: int, rng: np.random.Generator) -> "GruParams":
-        """Seeded uniform init in +-1/sqrt(n_hidden), drawn in field order."""
-        bound = 1.0 / np.sqrt(n_hidden)
-        return cls(**{name: rng.uniform(-bound, bound, size=shape)
-                      for name, shape in gru_shapes(n_input, n_hidden).items()})
-
     def arrays(self) -> dict[str, np.ndarray]:
         """Field-order mapping of parameter names to live arrays."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -93,14 +86,6 @@ class AttentionParams:
     """Bilinear form scoring hidden states against the target embedding."""
 
     w: np.ndarray  # (n_hidden, n_target)
-
-    @classmethod
-    def init(cls, n_hidden: int, n_target: int, rng: np.random.Generator) -> "AttentionParams":
-        bound = 1.0 / np.sqrt(n_target)
-        return cls(w=rng.uniform(-bound, bound, size=(n_hidden, n_target)))
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {"w": self.w}
 
 
 # ---------------------------------------------------------------------------

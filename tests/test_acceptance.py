@@ -9,6 +9,7 @@ Run with -s to see the verdict lines as they happen.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -31,8 +32,10 @@ from dien.evaluation import (
     write_metrics,
 )
 from dien.model import ModelVariant
-from dien.recurrent import AGRU, AIGRU, AUGRU, GruParams, evolve_forward, gru_forward
+from dien.recurrent import AGRU, AIGRU, AUGRU, evolve_forward, gru_forward
 from dien.training import TrainConfig, grad_check, train, write_curves
+
+from random_params import random_gru
 
 pytestmark = pytest.mark.acceptance
 
@@ -111,7 +114,7 @@ def test_evolution_cell_identities_are_exact():
     for _ in range(1000):
         width = int(rng.integers(1, 7))
         batch, steps = int(rng.integers(1, 5)), int(rng.integers(2, 7))
-        p = GruParams.init(width, width, rng)
+        p = random_gru(width, width, rng)
         states = rng.standard_normal((batch, steps, width))
         lens = rng.integers(0, steps + 1, size=batch)
         plain, _ = gru_forward(p, states, lens)
@@ -267,15 +270,30 @@ def test_bitwise_reproducibility(tmp_path_factory):
     assert ok, line
 
 
+def openblas_core() -> str:
+    """The CPU core OpenBLAS picked its kernels for at run time, read from
+    the scipy-openblas library numpy's wheel bundles, or "unknown"."""
+    libs = Path(np.__file__).resolve().parent.with_name("numpy.libs")
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        name = corename()
+        return name.decode() if name else "unknown"
+    return "unknown"
+
+
 def build_fingerprint() -> str:
-    """numpy's version and its BLAS's name and version, which the default
-    run's bytes may depend on."""
+    """numpy's version, its BLAS's name and version, and the core OpenBLAS
+    runs on, which the default run's bytes may depend on."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy before 1.26 only prints its config
         blas = "unknown BLAS"
-    return f"numpy {np.__version__}, {blas}"
+    return f"numpy {np.__version__}, {blas}, core {openblas_core()}"
 
 
 def test_default_artifacts_match_recorded_digests(default_corpus, dien_runs, tmp_path):

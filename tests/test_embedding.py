@@ -151,11 +151,6 @@ class TestGradAccumulation:
         t.accumulate_grad_many([2], np.ones((1, 3)))
         np.testing.assert_array_equal(t.touched_ids(), [2])
 
-    def test_grad_shape_guard(self):
-        t = make_table()
-        with pytest.raises(ShapeError):
-            t.accumulate_grad_many([1], np.ones((1, 4)))
-
 
 class TestFeatureEmbeddings:
     """forward_batch concatenates the item and category halves per step and

@@ -2,6 +2,7 @@
 independent per-row loop, and the checkpoint format."""
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from dien.model import (
     DienModel,
     MlpParams,
     ModelVariant,
+    array_layout,
     draw_negative_items,
     forward_batch,
     make_batch,
@@ -24,6 +26,9 @@ from dien.model import (
 )
 from dien.numerics import finite_diff_grad, max_rel_error
 from dien.recurrent import AGRU, AIGRU
+from dien.training import Adam
+
+from random_params import random_mlp
 
 N_ITEMS = 12
 N_CATS = 6
@@ -173,6 +178,47 @@ class TestBuild:
         for name, arr in a.all_arrays().items():
             np.testing.assert_array_equal(arr, b.all_arrays()[name])
 
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_draw_bounds_and_determinism(self, variant):
+        # every weight in ±1/sqrt(its last axis), each bias in the bound of
+        # the weight before it, and a seed gives the same arrays every time
+        model = build(variant, seed=3, mlp_hidden=(7, 2))
+        again = build(variant, seed=3, mlp_hidden=(7, 2))
+        for name, arr in model.param_arrays().items():
+            if arr.ndim > 1:
+                bound = 1.0 / np.sqrt(arr.shape[-1])
+            assert np.all(np.abs(arr) <= bound), name
+            assert np.all(arr != 0.0), name
+            np.testing.assert_array_equal(arr, again.param_arrays()[name])
+
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_containers_are_the_dense_arrays(self, variant, tmp_path):
+        model = build(variant, seed=4)
+        fields = {}
+        for k, (w, b) in enumerate(zip(model.mlp.weights, model.mlp.biases)):
+            fields[f"mlp.w{k}"], fields[f"mlp.b{k}"] = w, b
+        if variant.recurrent:
+            for group in ("extractor", "evolver"):
+                for name, arr in getattr(model, group).arrays().items():
+                    fields[f"{group}.{name}"] = arr
+            fields["attention.w"] = model.attention.w
+        params, every = model.param_arrays(), model.all_arrays()
+        assert list(params) == list(every)[2:]
+        assert set(fields) == set(params)
+        for name, arr in params.items():
+            assert arr is every[name] and arr is fields[name], name
+        # load writes the file's arrays in place, and the engine reads them
+        rng = np.random.default_rng(5)
+        batch = make_batch([rand_instance(rng) for _ in range(4)])
+        model.save(tmp_path / "model.ckpt")
+        back = DienModel.load(tmp_path / "model.ckpt")
+        probs = forward_batch(model, batch)["probs"]
+        np.testing.assert_array_equal(forward_batch(back, batch)["probs"], probs)
+        # so do the dense Adam updates
+        Adam(model.param_arrays(), [], lr=0.1).step(
+            model_backward(model, forward_batch(model, batch)))
+        assert not np.array_equal(forward_batch(model, batch)["probs"], probs)
+
     def test_param_names_prefixed(self):
         model = build(ModelVariant.DIEN)
         names = set(model.param_arrays())
@@ -193,7 +239,7 @@ class TestMlp:
 
     def test_backward_against_finite_differences(self):
         rng = np.random.default_rng(90)
-        mlp = MlpParams.init([4, 6, 3, 1], rng)
+        mlp = random_mlp([4, 6, 3, 1], rng)
         feats = rng.standard_normal((5, 4))
         proj = rng.standard_normal(5)
         logits, cache = mlp_forward(mlp, feats)
@@ -211,7 +257,7 @@ class TestMlp:
 
 
 def zero_mlp(model):
-    for arr in model.mlp.arrays().values():
+    for arr in model.mlp.weights + model.mlp.biases:
         arr[...] = 0.0
     return model
 
@@ -691,6 +737,20 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         model.save(path)
         with pytest.raises(ParseError, match="'evolver.b_cand' holds non-finite"):
+            DienModel.load(path)
+
+    def test_zero_header_width_rejected(self, tmp_path):
+        # a header and array list that agree on a zero head width reach
+        # build's positivity check: a ConfigError, which exits 1
+        model = build(ModelVariant.BASE, seed=21)
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        widths, layout = array_layout(ModelVariant.BASE, N_ITEMS, N_CATS, 3, 6, [0])
+        header.update(mlp_widths=widths, arrays=[[name, list(shape)] for name, shape in layout])
+        body = b"".join(np.zeros(shape).tobytes() for _, shape in layout)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(ConfigError, match="head widths must be positive"):
             DienModel.load(path)
 
     def test_garbage_rejected(self, tmp_path):

@@ -26,6 +26,8 @@ from dien.recurrent import (
     step_masks,
 )
 
+from random_params import random_attention, random_gru
+
 
 def zero_params(n_input, n_hidden):
     z = np.zeros
@@ -37,7 +39,7 @@ def zero_params(n_input, n_hidden):
 
 
 def rand_params(n_input, n_hidden, seed):
-    return GruParams.init(n_input, n_hidden, np.random.default_rng(seed))
+    return random_gru(n_input, n_hidden, np.random.default_rng(seed))
 
 
 def reference_gru_step(p, x, h, cell=None, a=None):
@@ -134,7 +136,7 @@ class TestCellIdentities:
         for _ in range(n):
             width = int(rng.integers(1, 7))
             batch, steps = int(rng.integers(1, 5)), int(rng.integers(2, 7))
-            p = GruParams.init(width, width, rng)
+            p = random_gru(width, width, rng)
             states = rng.standard_normal((batch, steps, width))
             yield rng, p, states, rng.integers(0, steps + 1, size=batch)
 
@@ -387,7 +389,7 @@ class TestAttention:
 
     def test_rows_sum_to_one_masked_zero(self):
         rng = np.random.default_rng(70)
-        params = AttentionParams.init(4, 3, rng)
+        params = random_attention(4, 3, rng)
         states = rng.standard_normal((4, 6, 4))
         targets = rng.standard_normal((4, 3))
         lens = np.array([6, 2, 1, 4])
@@ -414,7 +416,7 @@ class TestAttention:
 
     def test_gradients(self):
         rng = np.random.default_rng(73)
-        params = AttentionParams.init(4, 3, rng)
+        params = random_attention(4, 3, rng)
         states = rng.standard_normal((3, 5, 4))
         targets = rng.standard_normal((3, 3))
         lens = np.array([5, 2, 4])
@@ -455,13 +457,6 @@ class TestSingleSequenceSurfaces:
 
 
 class TestParamContainers:
-    def test_init_bound_and_determinism(self):
-        a = GruParams.init(3, 9, np.random.default_rng(9))
-        b = GruParams.init(3, 9, np.random.default_rng(9))
-        for name, arr in a.arrays().items():
-            assert np.all(np.abs(arr) <= 1.0 / 3.0)
-            np.testing.assert_array_equal(arr, b.arrays()[name])
-
     def test_zero_grads_shapes(self):
         p = rand_params(2, 3, seed=86)
         grads = p.zero_grads()
