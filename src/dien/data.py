@@ -21,6 +21,7 @@ models which track interest movement.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,6 +196,7 @@ def _file_rows(path):
             if label_s not in ("0", "1"):
                 raise ParseError(f"{path}: line {lineno}: field 1: "
                                  f"label must be 0 or 1, got {label_s!r}")
+            checked = [target_item], [target_cat]  # a reused history was checked once
             if fields != history_fields:  # a pair's second line reuses the first's lists
                 items = fields[0].split(",") if fields[0] else []
                 cats = fields[1].split(",") if fields[1] else []
@@ -205,7 +207,8 @@ def _file_rows(path):
                     )
                 if not items:
                     raise ParseError(f"{path}: line {lineno}: field 4: empty history")
-            for field_no, tokens in enumerate(([target_item], [target_cat], items, cats), 2):
+                checked += items, cats
+            for field_no, tokens in enumerate(checked, 2):
                 if PAD_TOKEN in tokens:
                     raise ParseError(f"{path}: line {lineno}: field {field_no}: "
                                      f"{PAD_TOKEN} is the reserved padding token")
@@ -294,10 +297,39 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be a probability, got {value}")
 
 
-def _items_of_category(cat: int, n_items: int, n_cats: int) -> range:
-    # a range, not a list: it is drawn from once per behaviour, and a range
-    # costs the same to build and to index whatever the category's size
-    return range(cat, n_items + 1, n_cats)
+def _replay(seed: int):
+    """numpy's `default_rng(seed).random()` and `.integers(k)`, value for
+    value, computed from the raw PCG64 words without a Generator call's
+    microsecond each.  As numpy does: `random()` is a word's top 53 bits
+    over 2**53; `integers(1)` draws nothing; other k take Lemire's rejection
+    method (arXiv 1805.10941), on whole words above 2**32 and otherwise on a
+    fresh word's low half, then its kept high half, even across `random()`."""
+    bits = np.random.PCG64(seed)  # read 4,096 words a call, without end
+    word = itertools.chain.from_iterable(iter(lambda: bits.random_raw(4096).tolist(), 0)).__next__
+    half = None  # the kept high half of the last 32-bit draw's word
+
+    def random() -> float:
+        return (word() >> 11) * 2.0**-53
+
+    def integers(k: int) -> int:
+        nonlocal half
+        if k > 1 << 32:
+            while (m := word() * k) & 0xFFFFFFFFFFFFFFFF < ((1 << 64) - k) % k:
+                pass
+            return m >> 64
+        if k == 1:
+            return 0
+        while True:
+            if half is None:
+                w = word()
+                low, half = w & 0xFFFFFFFF, w >> 32
+            else:
+                low, half = half, None
+            m = low * k
+            if m & 0xFFFFFFFF >= ((1 << 32) - k) % k:
+                return m >> 32
+
+    return random, integers
 
 
 def _kth_unseen(seen: list, k: int) -> int:
@@ -331,38 +363,39 @@ def synth_generate(config: SynthConfig) -> Corpus:
 
 def _synth_rows(config: SynthConfig):
     """The generator's token rows: per user a click, then its non-click."""
-    rng = np.random.default_rng(config.seed)
-    n_cats = config.n_cats
+    random, integers = _replay(config.seed)
+    n_items, n_cats = config.n_items, config.n_cats
+    # each category's items, built once: a range costs the same at any size
+    pools = functools.cache(lambda cat: range(cat, n_items + 1, n_cats))
     # memoised: a known id's token costs a C-level dict lookup, not a format
     item_token, cat_token = functools.cache("i{}".format), functools.cache("c{}".format)
     for _ in range(config.n_users):
-        latent = int(rng.integers(1, n_cats + 1))
+        latent = 1 + integers(n_cats)
         hist_items: list[int] = []
         hist_cats: list[int] = []
         for t in range(config.seq_len):
-            if t > 0 and rng.random() < config.drift_prob:
+            if t > 0 and random() < config.drift_prob:
                 # jump to a different category, uniform among the others
-                hop = int(rng.integers(1, n_cats))
+                hop = 1 + integers(n_cats - 1)
                 latent = hop if hop < latent else hop + 1
             cat = latent
-            if rng.random() < config.noise:
-                cat = int(rng.integers(1, n_cats + 1))
-            pool = _items_of_category(cat, config.n_items, n_cats)
-            item = pool[int(rng.integers(len(pool)))]
-            hist_items.append(item)
+            if random() < config.noise:
+                cat = 1 + integers(n_cats)
+            pool = pools(cat)
+            hist_items.append(pool[integers(len(pool))])
             hist_cats.append(cat)
 
-        pool = _items_of_category(latent, config.n_items, n_cats)
+        pool = pools(latent)
         seen = sorted({pool.index(i) for i in hist_items if i in pool})
         if len(seen) == len(pool):
             raise DegenerateError(
                 f"category {latent} has no unseen items left for a target"
             )
-        pos_item = pool[_kth_unseen(seen, int(rng.integers(len(pool) - len(seen))))]
-        neg_hop = int(rng.integers(1, n_cats))
+        pos_item = pool[_kth_unseen(seen, integers(len(pool) - len(seen)))]
+        neg_hop = 1 + integers(n_cats - 1)
         neg_cat = neg_hop if neg_hop < latent else neg_hop + 1
-        neg_pool = _items_of_category(neg_cat, config.n_items, n_cats)
-        neg_item = neg_pool[int(rng.integers(len(neg_pool)))]
+        neg_pool = pools(neg_cat)
+        neg_item = neg_pool[integers(len(neg_pool))]
 
         items, cats = tuple(map(item_token, hist_items)), tuple(map(cat_token, hist_cats))
         yield 1, item_token(pos_item), cat_token(latent), items, cats

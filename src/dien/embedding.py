@@ -21,18 +21,28 @@ class EmbeddingTable:
     """Dense id -> vector map whose gradient is one summed row per touched id."""
 
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
+        self._allocate(vocab_size, dim)
+        # uniform in ±1/sqrt(dim), a column at a time: the stream of one (dim, vocab) draw
+        bound = 1.0 / np.sqrt(self.dim)
+        for k in range(self.dim):
+            self.weights[:, k] = rng.uniform(-bound, bound, size=self.vocab_size)
+        self.weights[PAD_ID] = 0.0
+
+    @classmethod
+    def unfilled(cls, vocab_size: int, dim: int) -> "EmbeddingTable":
+        """Allocated, not drawn: the table a checkpoint fills."""
+        table = cls.__new__(cls)
+        table._allocate(vocab_size, dim)
+        return table
+
+    def _allocate(self, vocab_size: int, dim: int) -> None:
         if vocab_size < 1 or dim < 1:
             raise ShapeError(
                 f"table needs positive vocab_size and dim, got {vocab_size}x{dim}"
             )
         self.vocab_size = int(vocab_size)
         self.dim = int(dim)
-        # uniform in ±1/sqrt(dim), a column at a time: the stream of one (dim, vocab) draw
-        bound = 1.0 / np.sqrt(self.dim)
         self.weights = np.empty((self.vocab_size, self.dim))
-        for k in range(self.dim):
-            self.weights[:, k] = rng.uniform(-bound, bound, size=self.vocab_size)
-        self.weights[PAD_ID] = 0.0
         self.zero_grad()
 
     def lookup(self, idx: int) -> np.ndarray:

@@ -158,6 +158,27 @@ def array_layout(variant: ModelVariant, item_vocab: int, cat_vocab: int, embed_d
     return widths, layout
 
 
+def _check_sizes(variant, embed_dim, hidden_size, mlp_hidden, layout) -> None:
+    """Refuse, before any array is allocated, sizes `build` and `load` make
+    no model of.  A recurrent variant's hidden width must equal the behavior
+    width (item plus category embedding): the next-behavior loss scores
+    states against behavior embeddings by inner product."""
+    if embed_dim < 1 or hidden_size < 1 or any(w < 1 for w in mlp_hidden):
+        raise ConfigError("embed_dim, hidden_size and the head widths must be positive, "
+                          f"got {embed_dim}, {hidden_size} and {list(mlp_hidden)}")
+    behavior_width = 2 * embed_dim
+    if variant.recurrent and hidden_size != behavior_width:
+        raise ConfigError(
+            f"hidden_size must equal the behavior width {behavior_width} "
+            f"(item + category embedding), got {hidden_size}"
+        )
+    # counted in Python ints, before numpy meets a size it cannot hold
+    for name, shape in layout:
+        if math.prod(shape) > np.iinfo(np.intp).max // 8:
+            raise ConfigError(f"{name} of shape {shape} is more than one float64 "
+                              "array can hold")
+
+
 class DienModel:
     """Parameter bundle for one variant: embeddings, cells, attention, head.
 
@@ -190,28 +211,11 @@ class DienModel:
     def build(cls, variant: ModelVariant, item_vocab: int, cat_vocab: int,
               embed_dim: int, hidden_size: int, mlp_hidden, alpha: float,
               seed: int) -> "DienModel":
-        """Seeded initialization of every parameter group.
-
-        For recurrent variants the hidden width must equal the behavior
-        embedding width (item plus category), because the next-behavior loss
-        scores states against behavior embeddings by inner product.
-        """
-        if embed_dim < 1 or hidden_size < 1 or any(w < 1 for w in mlp_hidden):
-            raise ConfigError("embed_dim, hidden_size and the head widths must be positive, "
-                              f"got {embed_dim}, {hidden_size} and {list(mlp_hidden)}")
-        behavior_width = 2 * embed_dim
-        if variant.recurrent and hidden_size != behavior_width:
-            raise ConfigError(
-                f"hidden_size must equal the behavior width {behavior_width} "
-                f"(item + category embedding), got {hidden_size}"
-            )
+        """Seeded initialization of every parameter group, of sizes
+        `_check_sizes` accepts."""
         widths, layout = array_layout(variant, item_vocab, cat_vocab, embed_dim,
                                       hidden_size, mlp_hidden)
-        # counted in Python ints, before numpy meets a size it cannot hold
-        for name, shape in layout:
-            if math.prod(shape) > np.iinfo(np.intp).max // 8:
-                raise ConfigError(f"{name} of shape {shape} is more than one float64 "
-                                  "array can hold")
+        _check_sizes(variant, embed_dim, hidden_size, mlp_hidden, layout)
         rng = np.random.default_rng(seed)
         item_table = EmbeddingTable(item_vocab, embed_dim, rng=rng)
         cat_table = EmbeddingTable(cat_vocab, embed_dim, rng=rng)
@@ -303,8 +307,11 @@ class DienModel:
                 k, got, want = next((k, a, b) for k, (a, b) in enumerate(
                     zip_longest(listed, layout, fillvalue="nothing")) if a != b)
                 raise ParseError(f"{path}: array {k} is {got}, the model expects {want}")
-            model = cls.build(variant, item_vocab, cat_vocab, embed_dim, hidden_size,
-                              widths[1:-1], field("alpha", _nonnegative_float), seed=0)
+            alpha = field("alpha", _nonnegative_float)
+            _check_sizes(variant, embed_dim, hidden_size, widths[1:-1], layout)
+            tables = [EmbeddingTable.unfilled(n, embed_dim) for n in (item_vocab, cat_vocab)]
+            params = {name: np.empty(shape) for name, shape in layout[2:]}
+            model = cls(variant, alpha, *tables, params, embed_dim, hidden_size, widths)
             for name, arr in model.all_arrays().items():
                 arr[...] = np.frombuffer(fh.read(arr.nbytes), dtype="<f8").reshape(arr.shape)
                 if not np.all(np.isfinite(arr)):

@@ -11,6 +11,7 @@ from dien.data import (
     Instance,
     SynthConfig,
     Vocab,
+    _build_corpus,
     _kth_unseen,
     parse_corpus,
     save_corpus,
@@ -329,6 +330,71 @@ class TestSynthGenerate:
         assert len(corpus.test_idx) == 40  # 20 of 200 pairs
         assert len(corpus.train_idx) == 360
         assert len(corpus.test()) == 40
+
+
+def numpy_rows(config: SynthConfig):
+    """The generator's rows drawn from numpy's own Generator: the loop the
+    generator ran before it replayed the draws, kept as the oracle."""
+    rng = np.random.default_rng(config.seed)
+    n_cats = config.n_cats
+    for _ in range(config.n_users):
+        latent = int(rng.integers(1, n_cats + 1))
+        hist_items: list[int] = []
+        hist_cats: list[int] = []
+        for t in range(config.seq_len):
+            if t > 0 and rng.random() < config.drift_prob:
+                hop = int(rng.integers(1, n_cats))
+                latent = hop if hop < latent else hop + 1
+            cat = latent
+            if rng.random() < config.noise:
+                cat = int(rng.integers(1, n_cats + 1))
+            pool = range(cat, config.n_items + 1, n_cats)
+            hist_items.append(pool[int(rng.integers(len(pool)))])
+            hist_cats.append(cat)
+
+        pool = range(latent, config.n_items + 1, n_cats)
+        seen = sorted({pool.index(i) for i in hist_items if i in pool})
+        if len(seen) == len(pool):
+            raise DegenerateError(f"category {latent} has no unseen items left for a target")
+        pos_item = pool[_kth_unseen(seen, int(rng.integers(len(pool) - len(seen))))]
+        neg_hop = int(rng.integers(1, n_cats))
+        neg_cat = neg_hop if neg_hop < latent else neg_hop + 1
+        neg_pool = range(neg_cat, config.n_items + 1, n_cats)
+        neg_item = neg_pool[int(rng.integers(len(neg_pool)))]
+
+        items, cats = tuple(f"i{i}" for i in hist_items), tuple(f"c{c}" for c in hist_cats)
+        yield 1, f"i{pos_item}", f"c{latent}", items, cats
+        yield 0, f"i{neg_item}", f"c{neg_cat}", items, cats
+
+
+class TestSynthMatchesNumpy:
+    @pytest.mark.parametrize("config", [
+        SynthConfig(),
+        SynthConfig(n_cats=2),  # every hop draws from range(1)
+        SynthConfig(drift_prob=0.0, noise=0.0),
+        SynthConfig(drift_prob=1.0, noise=1.0),
+        SynthConfig(n_items=200_000, n_cats=1_000),
+        SynthConfig(n_users=5_000, n_items=1_000, seq_len=50),  # the scoring benchmark's
+        SynthConfig(n_users=2_000, n_items=2**40, n_cats=2),  # whole-word draws
+        SynthConfig(n_users=2_000, n_items=3 * 2**31, n_cats=2),  # a quarter rejected
+    ], ids=["default", "two-cats", "no-drift", "all-drift", "wide-vocab", "mixed-history",
+            "64-bit", "rejecting"])
+    def test_same_corpus_as_numpy_draws(self, config):
+        got, want = synth_generate(config), _build_corpus(numpy_rows(config), 0, {})
+        assert got.item_vocab.tokens() == want.item_vocab.tokens()
+        assert got.cat_vocab.tokens() == want.cat_vocab.tokens()
+        assert got.instances == want.instances
+        np.testing.assert_array_equal(got.train_idx, want.train_idx)
+        np.testing.assert_array_equal(got.test_idx, want.test_idx)
+        np.testing.assert_array_equal(got.item_cats, want.item_cats)
+
+    def test_same_degenerate_error_as_numpy_draws(self):
+        config = SynthConfig(seed=5, seq_len=50)
+        with pytest.raises(DegenerateError) as want:
+            list(numpy_rows(config))
+        with pytest.raises(DegenerateError) as got:
+            synth_generate(config)
+        assert str(got.value) == str(want.value)
 
 
 class TestTruncate:

@@ -1,7 +1,7 @@
 """Property tests of the one corpus builder: a generated corpus equals its
 saved-and-parsed round trip, parse then save reproduces a corpus file, each
 vocabulary's ids and tokens invert each other, and the split partitions
-the rows.
+the rows.  The generator's replay of numpy's draws returns numpy's values.
 
 Runs derandomized and without an example database, so a run is repeatable;
 the caches hypothesis keeps go to the system's temporary directory, not
@@ -18,7 +18,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
-from dien.data import SynthConfig, parse_corpus, save_corpus, synth_generate  # noqa: E402
+from dien.data import (  # noqa: E402
+    SynthConfig,
+    _replay,
+    parse_corpus,
+    save_corpus,
+    synth_generate,
+)
 from dien.errors import VocabularyError  # noqa: E402
 
 # hypothesis caches the constants of the source files it finds under its
@@ -115,3 +121,23 @@ def test_vocabularies_invert_and_split_partitions(config, tmp_path_factory):
             with pytest.raises(VocabularyError):
                 vocab.id_of("unseen")
         assert_split_partitions(built)
+
+
+# bounds at each edge of the replay's cases: nothing drawn at 1, 32-bit
+# halves up to 2**32, whole words above, to int64's largest; 3 * 2**30 and
+# 3 * 2**61 reject a quarter of their halves and words
+REPLAY_BOUNDS = [1, 2, 3, 10, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1, 3 * 2**61, 2**63 - 1]
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**64), calls=st.lists(
+    st.one_of(st.none(), st.sampled_from(REPLAY_BOUNDS)), max_size=80))
+def test_replay_matches_numpy(seed, calls):
+    # None is a random() call, k an integers(k) call; a numpy release whose
+    # Generator draws otherwise fails here
+    (random, integers), rng = _replay(seed), np.random.default_rng(seed)
+    for k in calls:
+        if k is None:
+            assert random() == rng.random()
+        else:
+            assert integers(k) == rng.integers(k)

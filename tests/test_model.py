@@ -707,6 +707,19 @@ class TestCheckpoint:
         for name, arr in model.all_arrays().items():
             np.testing.assert_array_equal(back.all_arrays()[name], arr)
 
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        # the file fills allocated arrays: no seeded model is drawn first
+        model = build(ModelVariant.DIEN, seed=22)
+        model.save(tmp_path / "model.ckpt")
+
+        def undrawn(*args, **kwargs):
+            raise AssertionError("DienModel.load drew a model")
+
+        monkeypatch.setattr(np.random, "default_rng", undrawn)
+        back = DienModel.load(tmp_path / "model.ckpt")
+        for name, arr in model.all_arrays().items():
+            np.testing.assert_array_equal(back.all_arrays()[name], arr)
+
     def test_same_model_same_bytes(self, tmp_path):
         model = build(ModelVariant.DIEN, seed=17)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
