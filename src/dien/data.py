@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateError, DomainError, ParseError, VocabularyError
+from .errors import ConfigError, DomainError, ParseError, VocabularyError
 
 PAD_TOKEN = "<pad>"
 TEST_FRACTION = 0.1  # share of pair units held out for testing
@@ -346,10 +346,11 @@ def _kth_unseen(seen: list, k: int) -> int:
 def synth_generate(config: SynthConfig) -> Corpus:
     """Generate a corpus with a planted drifting interest per user.
 
-    Labels are balanced exactly 50/50 by pairing, the positive target never
-    sits in its own history, and the whole corpus is a pure function of the
-    config.  Items are the tokens i1..i<n_items>, categories c1..c<n_cats>,
-    and the corpus is built as parse_corpus builds its saved file, split at
+    Labels are balanced exactly 50/50 by pairing, the positive target sits
+    in its own history only when that history holds every item of its
+    category, and the whole corpus is a pure function of the config.
+    Items are the tokens i1..i<n_items>, categories c1..c<n_cats>, and the
+    corpus is built as parse_corpus builds its saved file, split at
     split_seed 0.
     """
     config.validate()
@@ -387,10 +388,8 @@ def _synth_rows(config: SynthConfig):
 
         pool = pools(latent)
         seen = sorted({pool.index(i) for i in hist_items if i in pool})
-        if len(seen) == len(pool):
-            raise DegenerateError(
-                f"category {latent} has no unseen items left for a target"
-            )
+        if len(seen) == len(pool):  # used up: any item of the category will do
+            seen = []
         pos_item = pool[_kth_unseen(seen, integers(len(pool) - len(seen)))]
         neg_hop = 1 + integers(n_cats - 1)
         neg_cat = neg_hop if neg_hop < latent else neg_hop + 1

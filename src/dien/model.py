@@ -109,18 +109,18 @@ def mlp_forward(mlp: MlpParams, feats: np.ndarray):
     return x[:, 0], cache
 
 
-def mlp_backward(mlp: MlpParams, cache, d_logits):
-    """Backward through mlp_forward; returns (grads dict, d_features)."""
-    grads = {}
+def mlp_backward(mlp: MlpParams, cache, d_logits, grads):
+    """Backward through mlp_forward: writes each layer's gradients into
+    `grads` ("w0", "b0", ...) and returns d_features."""
     d = d_logits[:, None]
     last = len(mlp.weights) - 1
     for i in range(last, -1, -1):
         if i != last:
             d = d * (cache["pre"][i] > 0.0)
-        grads[f"w{i}"] = d.T @ cache["ins"][i]
-        grads[f"b{i}"] = d.sum(axis=0)
+        grads[f"w{i}"][...] = d.T @ cache["ins"][i]
+        grads[f"b{i}"][...] = d.sum(axis=0)
         d = d @ mlp.weights[i]
-    return grads, d
+    return d
 
 
 def _size(value) -> int:
@@ -158,6 +158,11 @@ def array_layout(variant: ModelVariant, item_vocab: int, cat_vocab: int, embed_d
     return widths, layout
 
 
+def _group(arrays: dict, prefix: str) -> dict:
+    """The arrays named `prefix`..., in order, keyed by the rest of the name."""
+    return {k[len(prefix):]: a for k, a in arrays.items() if k.startswith(prefix)}
+
+
 def _check_sizes(variant, embed_dim, hidden_size, mlp_hidden, layout) -> None:
     """Refuse, before any array is allocated, sizes `build` and `load` make
     no model of.  A recurrent variant's hidden width must equal the behavior
@@ -192,16 +197,12 @@ class DienModel:
         self.item_table = item_table
         self.cat_table = cat_table
         self._params = params
-
-        def group(prefix):
-            return {k[len(prefix):]: a for k, a in params.items() if k.startswith(prefix)}
-
         self.extractor = self.evolver = self.attention = None
         if variant.recurrent:
-            self.extractor = GruParams(**group("extractor."))
-            self.evolver = GruParams(**group("evolver."))
-            self.attention = AttentionParams(**group("attention."))
-        head = list(group("mlp.").values())  # w0, b0, w1, b1, ...
+            self.extractor = GruParams(**_group(params, "extractor."))
+            self.evolver = GruParams(**_group(params, "evolver."))
+            self.attention = AttentionParams(**_group(params, "attention."))
+        head = list(_group(params, "mlp.").values())  # w0, b0, w1, b1, ...
         self.mlp = MlpParams(weights=head[::2], biases=head[1::2])
         self.embed_dim = int(embed_dim)
         self.hidden_size = int(hidden_size)
@@ -530,13 +531,15 @@ def _accumulate_embeddings(model: DienModel, sources: list) -> None:
 def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
     """Gradients of the combined loss for the whole parameter set.
 
-    Dense gradients come back keyed like param_arrays(); embedding gradients
-    accumulate into the tables' summed rows (zero them first).  Padding ids
-    receive nothing.  The target-free work ran once per distinct history,
-    so every row's gradient of it (the pooled vector's, or the extractor
-    states' with the next-behavior loss's) is summed per history before the
-    one extractor backward and the behavior embeddings.  The context must
-    come from a forward_batch run with `for_backward` on.
+    The dense gradients are allocated here, zeroed, keyed like
+    param_arrays() and in its order; each layer's backward writes into its
+    own group of them.  Embedding gradients accumulate into the tables'
+    summed rows (zero them first), and padding ids receive nothing.  The
+    target-free work ran once per distinct history, so every row's
+    gradient of it (the pooled vector's, or the extractor states' with the
+    next-behavior loss's) is summed per history before the one extractor
+    backward and the behavior embeddings.  The context must come from a
+    forward_batch run with `for_backward` on.
     """
     if not ctx["for_backward"]:
         raise UsageError("model_backward needs a forward_batch context built "
@@ -546,8 +549,8 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
     n_rows = batch.labels.size
     y = batch.labels
     d_logits = (ctx["probs"] - y) / n_rows
-    mlp_grads, d_feats = mlp_backward(model.mlp, ctx["mcache"], d_logits)
-    grads = {f"mlp.{k}": v for k, v in mlp_grads.items()}
+    grads = {name: np.zeros_like(arr) for name, arr in model.param_arrays().items()}
+    d_feats = mlp_backward(model.mlp, ctx["mcache"], d_logits, _group(grads, "mlp."))
 
     split = d_feats.shape[1] - 2 * d
     d_interest, d_targets = d_feats[:, :split], d_feats[:, split:].copy()
@@ -560,26 +563,24 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
             states2, scores = ctx["states2"], ctx["scores"]
             d_scores = np.einsum("bn,btn->bt", d_interest, states2)
             d_states2 = scores[:, :, None] * d_interest[:, None, :]
-            d_w, d_states2_att, d_targets_att = attention_backward(
-                model.attention, ctx["acache"], d_scores
+            d_states2_att, d_targets_att = attention_backward(
+                model.attention, ctx["acache"], d_scores, _group(grads, "attention.")
             )
-            evolver_grads, d_states1 = gru_backward(
-                model.evolver, ctx["cache2"], _sum_by_history(batch, d_states2 + d_states2_att)
+            d_states1 = gru_backward(
+                model.evolver, ctx["cache2"], _sum_by_history(batch, d_states2 + d_states2_att),
+                _group(grads, "evolver."),
             )
         else:
             d_evolved = np.zeros_like(ctx["evolved"])
             d_evolved[:, -1] = d_interest
-            evolver_grads, d_states1, d_scores = evolve_backward(
-                model.evolver, ctx["ecache"], d_evolved
+            d_states1, d_scores = evolve_backward(
+                model.evolver, ctx["ecache"], d_evolved, _group(grads, "evolver.")
             )
-            d_w, d_states1_att, d_targets_att = attention_backward(
-                model.attention, ctx["acache"], d_scores
+            d_states1_att, d_targets_att = attention_backward(
+                model.attention, ctx["acache"], d_scores, _group(grads, "attention.")
             )
             d_states1 = _sum_by_history(batch, d_states1 + d_states1_att)
-        grads["attention.w"] = d_w
         d_targets += d_targets_att
-        for name, arr in evolver_grads.items():
-            grads[f"evolver.{name}"] = arr
 
         d_behaviors_extra = None
         if ctx["aux_active"]:
@@ -595,11 +596,10 @@ def model_backward(model: DienModel, ctx: dict) -> dict[str, np.ndarray]:
             d_behaviors_extra = _sum_by_history(batch, d_spos[:, :, None] * h)
             sources.append((ctx["neg_items"], ctx["neg_cats"], d_sneg[:, :, None] * h, m))
 
-        extractor_grads, d_behaviors = gru_backward(model.extractor, ctx["cache1"], d_states1)
+        d_behaviors = gru_backward(model.extractor, ctx["cache1"], d_states1,
+                                   _group(grads, "extractor."))
         if d_behaviors_extra is not None:
             d_behaviors[:, 1:] += d_behaviors_extra
-        for name, arr in extractor_grads.items():
-            grads[f"extractor.{name}"] = arr
 
     sources += [(batch.history_items, batch.history_cats, d_behaviors, ctx["mask"]),
                 (batch.target_items, batch.target_cats, d_targets, np.ones(n_rows, dtype=bool))]

@@ -22,11 +22,11 @@ and a row of length 0 stays at the zero state.  A batch whose lengths
 already run longest first (full-length rows, say) is visited in its own
 order and indexed by slices, with no per-step gather or scatter.
 
-Backward passes are hand-derived and consume the per-step gate values the
-forward pass keeps for them; a forward pass that no backward will read
-(scoring, probes) keeps none, and writes each step's gates into one
-reused set of buffers.  The finite-difference harness in `training` is
-the safety net for every derivative here.
+Backward passes are hand-derived, read the gate values the forward pass
+keeps per step, and add parameter gradients into their caller's zeroed
+arrays; a forward pass that no backward will read (scoring, probes) keeps
+no gates, writing each step's into one reused set of buffers.  The
+finite-difference harness in `training` checks every derivative here.
 
 The layer functions take only what the engine in `model` builds (float64
 arrays of matching widths, a valid step in every row the attention scores,
@@ -65,13 +65,6 @@ class GruParams:
     @property
     def n_hidden(self) -> int:
         return self.w_update.shape[0]
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Field-order mapping of parameter names to live arrays."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(arr) for name, arr in self.arrays().items()}
 
 
 def gru_shapes(n_input: int, n_hidden: int) -> dict[str, tuple]:
@@ -215,11 +208,12 @@ def _gate_backward(params, grads, x, gates, h_prev, d_update, d_cand, d_h_prev):
     return d_x, d_h_prev
 
 
-def _recur_backward(params: GruParams, cache, d_states):
-    """Backward through _recur, in the same visiting order.
+def _recur_backward(params: GruParams, cache, d_states, grads):
+    """Backward through _recur, in the same visiting order, adding each
+    step's parameter gradients into `grads`, keyed like GruParams' fields.
 
-    Returns (parameter grads, d_inputs, d_scores); d_scores is None for the
-    plain cell, and both are exactly zero past each row's valid length.
+    Returns (d_inputs, d_scores); d_scores is None for the plain cell, and
+    both are exactly zero past each row's valid length.
     The score couples through the blend gate: directly for AGRU, through
     a*u for AUGRU.  A row that is not live at step t passes its gradient
     straight back to the state it carried forward.
@@ -227,7 +221,6 @@ def _recur_backward(params: GruParams, cache, d_states):
     cell, scores, order = cache["cell"], cache["scores"], cache["order"]
     inputs, states = cache["inputs"], cache["outputs"]
     batch, steps, _ = inputs.shape
-    grads = params.zero_grads()
     d_inputs = np.zeros_like(inputs)
     d_scores = None if cell is None else np.zeros_like(scores)
     dh = np.zeros((batch, params.n_hidden))  # in visiting order
@@ -252,7 +245,7 @@ def _recur_backward(params: GruParams, cache, d_states):
         d_inputs[rows, t], dh[:n] = _gate_backward(
             params, grads, inputs[rows, t], cache["gates"][t], h_prev, d_update,
             d_raw * gate, d_raw * (1.0 - gate))
-    return grads, d_inputs, d_scores
+    return d_inputs, d_scores
 
 
 def gru_forward(params: GruParams, inputs, valid_lens, *, keep=True):
@@ -265,14 +258,13 @@ def gru_forward(params: GruParams, inputs, valid_lens, *, keep=True):
     return _recur(params, inputs, valid_lens, keep=keep)
 
 
-def gru_backward(params: GruParams, cache, d_states):
+def gru_backward(params: GruParams, cache, d_states, grads):
     """Backward through gru_forward.
 
-    d_states holds the upstream gradient on every hidden state.  Returns
-    (parameter grads, d_inputs).
+    d_states holds the upstream gradient on every hidden state.  Adds the
+    parameter gradients into `grads` and returns d_inputs.
     """
-    grads, d_inputs, _ = _recur_backward(params, cache, d_states)
-    return grads, d_inputs
+    return _recur_backward(params, cache, d_states, grads)[0]
 
 
 def evolve_forward(params: GruParams, states, scores, valid_lens, variant: str, *,
@@ -295,20 +287,20 @@ def evolve_forward(params: GruParams, states, scores, valid_lens, variant: str, 
     return _recur(params, states, valid_lens, scores, variant, keep=keep)
 
 
-def evolve_backward(params: GruParams, cache, d_evolved):
+def evolve_backward(params: GruParams, cache, d_evolved, grads):
     """Backward through evolve_forward.
 
-    d_evolved holds the upstream gradient on every evolved state.  Returns
-    (parameter grads, gradient on the interest states, gradient on the
-    scores).  For the input-scaling cell, which ran the plain loop, the
-    score gradient comes through the scaled inputs; the other cells return
-    it from the loop.
+    d_evolved holds the upstream gradient on every evolved state.  Adds the
+    parameter gradients into `grads` and returns (gradient on the interest
+    states, gradient on the scores).  For the input-scaling cell, which ran
+    the plain loop, the score gradient comes through the scaled inputs; the
+    other cells return it from the loop.
     """
-    grads, d_inputs, d_scores = _recur_backward(params, cache, d_evolved)
+    d_inputs, d_scores = _recur_backward(params, cache, d_evolved, grads)
     if cache["cell"] is None:
         d_scores = (d_inputs * cache["states"]).sum(axis=2)
         d_inputs = d_inputs * cache["scores"][..., None]
-    return grads, d_inputs, d_scores
+    return d_inputs, d_scores
 
 
 def attention_forward(states, targets, params: AttentionParams, valid_lens):
@@ -329,10 +321,10 @@ def attention_forward(states, targets, params: AttentionParams, valid_lens):
     return scores, cache
 
 
-def attention_backward(params: AttentionParams, cache, d_scores):
+def attention_backward(params: AttentionParams, cache, d_scores, grads):
     """Backward through attention_forward, including the softmax coupling.
 
-    Returns (d_w, d_states, d_targets).
+    Writes d_w into `grads["w"]` and returns (d_states, d_targets).
     """
     scores = cache["scores"]
     states = cache["states"]
@@ -341,6 +333,5 @@ def attention_backward(params: AttentionParams, cache, d_scores):
     d_logits = scores * (d_scores - inner)
     d_states = d_logits[:, :, None] * cache["proj"][:, None, :]
     d_proj = np.einsum("bt,btn->bn", d_logits, states)
-    d_w = d_proj.T @ cache["targets"]
-    d_targets = d_proj @ params.w
-    return d_w, d_states, d_targets
+    grads["w"][...] = d_proj.T @ cache["targets"]
+    return d_states, d_proj @ params.w

@@ -21,11 +21,13 @@ import numpy as np
 import pytest
 
 from dien.cli import main
-from dien.data import SynthConfig, save_corpus, synth_generate
+from dien.data import SynthConfig, save_corpus, synth_generate, truncate_history
 from dien.evaluation import (
+    EvalReport,
     auc,
     build_viz_probes,
     evaluate,
+    model_scores,
     pca_project,
     run_ablation,
     viz_bundle,
@@ -46,6 +48,10 @@ ELAPSED: dict = {}
 
 # sha256 of the default run's files, keyed by the build they were recorded on
 DIGESTS = Path(__file__).with_name("digests.json")
+# the default run's numbers in summary, the same on every build
+SUMMARIES = Path(__file__).with_name("summaries.json")
+SUMMARY_RTOL = 1e-8
+SUMMARY_FLOOR = 1e-4  # below this magnitude the tolerance is SUMMARY_RTOL * SUMMARY_FLOOR
 
 
 def verdict(ok: bool, gate: str, detail: str) -> str:
@@ -69,15 +75,30 @@ def dien_runs(default_corpus):
     return runs
 
 
+def repeat_report(corpus, models) -> EvalReport:
+    """The report repeat_eval gives, from models it would have trained."""
+    test = [truncate_history(inst, TrainConfig().max_history) for inst in corpus.test()]
+    labels = np.asarray([inst.label for inst in test])
+    return EvalReport.from_runs([auc(model_scores(model, test), labels) for model in models],
+                                int((labels == 1).sum()), int((labels == 0).sum()))
+
+
 @pytest.fixture(scope="module")
-def ablation_by_corpus(default_corpus):
-    """variant -> report maps for five independently generated corpora."""
+def ablation_by_corpus(default_corpus, dien_runs):
+    """variant -> report maps for five independently generated corpora.
+    Corpus 0's full-model runs are `dien_runs`: the same corpus, config and
+    seeds as run_ablation's, so they are scored, not trained again."""
     t0 = time.perf_counter()
     out = {}
     for corpus_seed in range(5):
-        corpus = (default_corpus if corpus_seed == 0
-                  else synth_generate(SynthConfig(seed=corpus_seed)))
-        results = run_ablation(corpus, TrainConfig(), ABLATION_VARIANTS, n_repeats=5)
+        if corpus_seed == 0:
+            others = [v for v in ABLATION_VARIANTS if v is not ModelVariant.DIEN]
+            results = run_ablation(default_corpus, TrainConfig(), others, n_repeats=5)
+            results.append((ModelVariant.DIEN, repeat_report(
+                default_corpus, [model for model, _ in dien_runs])))
+        else:
+            results = run_ablation(synth_generate(SynthConfig(seed=corpus_seed)),
+                                   TrainConfig(), ABLATION_VARIANTS, n_repeats=5)
         out[corpus_seed] = dict(results)
     ELAPSED["ablation"] = time.perf_counter() - t0
     return out
@@ -332,6 +353,55 @@ def test_default_artifacts_match_recorded_digests(default_corpus, dien_runs, tmp
                    f"{len(got) - len(differ)}/{len(got)} files match the digests of "
                    f"{build!r} (AUC {report.auc})"
                    + (f", differing: {', '.join(differ)}" if differ else ""))
+    assert ok, line
+
+
+def artifact_summaries(model, curves, test_auc: float) -> dict:
+    """Per checkpoint array its sum, its sum of squares and its values at
+    three fixed positions in checkpoint order (a seventh and a third of the
+    way in, which miss the tables' zero padding rows, and the last); the
+    per-column sums of the learning curve; the held-out AUC."""
+    out = {}
+    for name, arr in model.all_arrays().items():
+        flat = arr.ravel()
+        out[name] = [float(flat.sum()), float((flat * flat).sum()),
+                     *(float(flat[k]) for k in (flat.size // 7, flat.size // 3, flat.size - 1))]
+    out["curves.csv"] = [float(sum(getattr(rec, column) for rec in curves))
+                         for column in ("epoch", "step", "l_target", "l_aux", "l_total")]
+    out["auc"] = [test_auc]
+    return out
+
+
+def test_default_artifacts_match_recorded_summaries(default_corpus, dien_runs, tmp_path):
+    """The default run's checkpoint, curves and AUC in summary, against the
+    values recorded in summaries.json, on every build.  The digest gate
+    skips on a build with no recorded digests, and other OpenBLAS cores
+    move the run by ulps (1.4e-11 relative at most across three); a
+    relative 1e-8 tolerates that spread and still catches a change to a
+    gradient or a draw.  On a failure this build's summaries are written
+    out beside the message."""
+    model, curves = dien_runs[0]
+    got = artifact_summaries(model, curves, evaluate(model, default_corpus.test()).auc)
+    want = json.loads(SUMMARIES.read_text(encoding="utf-8"))
+    assert list(got) == list(want)
+    worst, off = 0.0, []
+    for name, values in want.items():
+        assert len(got[name]) == len(values), name
+        for k, (g, w) in enumerate(zip(got[name], values)):
+            err = abs(g - w) / max(abs(w), SUMMARY_FLOOR)
+            worst = max(worst, err)
+            if err > SUMMARY_RTOL:
+                off.append(f"{name}[{k}]")
+    n_values = sum(map(len, want.values()))
+    ok = not off
+    line = verdict(ok, "default summaries",
+                   f"{n_values - len(off)}/{n_values} values within {SUMMARY_RTOL:g} of "
+                   f"{SUMMARIES.name}, worst {worst:.1e} (AUC {got['auc'][0]})"
+                   + (f", differing: {', '.join(off[:10])}" if off else ""))
+    if not ok:
+        (tmp_path / SUMMARIES.name).write_text(json.dumps(got, indent=1) + "\n",
+                                               encoding="utf-8")
+        line += f"; this build's summaries: {tmp_path / SUMMARIES.name}"
     assert ok, line
 
 

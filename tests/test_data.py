@@ -18,7 +18,7 @@ from dien.data import (
     synth_generate,
     truncate_history,
 )
-from dien.errors import ConfigError, DegenerateError, DomainError, ParseError, VocabularyError
+from dien.errors import ConfigError, DomainError, ParseError, VocabularyError
 
 
 class TestVocab:
@@ -264,10 +264,21 @@ class TestSynthGenerate:
             unseen = [p for p in range(n) if p not in seen]
             assert [_kth_unseen(seen, k) for k in range(len(unseen))] == unseen
 
-    def test_used_up_category_rejected(self):
-        # 20 items per category: a 50-step history can cover a whole one
-        with pytest.raises(DegenerateError, match="no unseen items"):
-            synth_generate(SynthConfig(seed=5, seq_len=50))
+    def test_positive_repeats_history_only_when_category_used_up(self):
+        # 20 items per category: a 50-step history can cover a whole one,
+        # and then the positive is drawn from the whole category
+        config = SynthConfig(seed=5, seq_len=50)
+        corpus = synth_generate(config)
+        item, cat = corpus.item_vocab.token_of, corpus.cat_vocab.token_of
+        repeats = 0
+        for pos in corpus.instances[::2]:
+            history = {item(i) for i in pos.history_items}
+            if item(pos.target_item) in history:
+                repeats += 1
+                first = int(cat(pos.target_cat)[1:])
+                pool = {f"i{k}" for k in range(first, config.n_items + 1, config.n_cats)}
+                assert pool <= history
+        assert repeats == 1
 
     def test_behavior_items_match_their_category(self):
         corpus = synth_generate(SynthConfig(n_users=100, seed=7))
@@ -355,7 +366,7 @@ def numpy_rows(config: SynthConfig):
         pool = range(latent, config.n_items + 1, n_cats)
         seen = sorted({pool.index(i) for i in hist_items if i in pool})
         if len(seen) == len(pool):
-            raise DegenerateError(f"category {latent} has no unseen items left for a target")
+            seen = []
         pos_item = pool[_kth_unseen(seen, int(rng.integers(len(pool) - len(seen))))]
         neg_hop = int(rng.integers(1, n_cats))
         neg_cat = neg_hop if neg_hop < latent else neg_hop + 1
@@ -388,13 +399,12 @@ class TestSynthMatchesNumpy:
         np.testing.assert_array_equal(got.test_idx, want.test_idx)
         np.testing.assert_array_equal(got.item_cats, want.item_cats)
 
-    def test_same_degenerate_error_as_numpy_draws(self):
+    def test_used_up_category_same_as_numpy_draws(self, tmp_path):
+        # a history that holds its whole final category, drawn from anywhere
         config = SynthConfig(seed=5, seq_len=50)
-        with pytest.raises(DegenerateError) as want:
-            list(numpy_rows(config))
-        with pytest.raises(DegenerateError) as got:
-            synth_generate(config)
-        assert str(got.value) == str(want.value)
+        save_corpus(synth_generate(config), tmp_path / "got.tsv")
+        save_corpus(_build_corpus(numpy_rows(config), 0, {}), tmp_path / "want.tsv")
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
 
 
 class TestTruncate:

@@ -199,7 +199,7 @@ class TestBuild:
             fields[f"mlp.w{k}"], fields[f"mlp.b{k}"] = w, b
         if variant.recurrent:
             for group in ("extractor", "evolver"):
-                for name, arr in getattr(model, group).arrays().items():
+                for name, arr in vars(getattr(model, group)).items():
                     fields[f"{group}.{name}"] = arr
             fields["attention.w"] = model.attention.w
         params, every = model.param_arrays(), model.all_arrays()
@@ -243,7 +243,10 @@ class TestMlp:
         feats = rng.standard_normal((5, 4))
         proj = rng.standard_normal(5)
         logits, cache = mlp_forward(mlp, feats)
-        grads, d_feats = mlp_backward(mlp, cache, proj)
+        grads = {}
+        for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+            grads[f"w{i}"], grads[f"b{i}"] = np.zeros_like(w), np.zeros_like(b)
+        d_feats = mlp_backward(mlp, cache, proj, grads)
 
         def loss() -> float:
             got, _ = mlp_forward(mlp, feats)
@@ -362,7 +365,7 @@ def aux_ctx(model, insts, neg_items, neg_cats):
 
 def constant_extractor(model, b_cand):
     """Zero extractor weights: every state is (1 - 2^-t) tanh(b_cand)."""
-    for arr in model.extractor.arrays().values():
+    for arr in vars(model.extractor).values():
         arr[...] = 0.0
     model.extractor.b_cand[...] = b_cand
     return model

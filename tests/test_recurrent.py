@@ -29,6 +29,12 @@ from dien.recurrent import (
 from random_params import random_attention, random_gru
 
 
+def zero_grads(params):
+    """Zeroed gradient arrays keyed like a container's fields, for the
+    backward passes to write into."""
+    return {name: np.zeros_like(arr) for name, arr in vars(params).items()}
+
+
 def zero_params(n_input, n_hidden):
     z = np.zeros
     return GruParams(
@@ -252,9 +258,10 @@ class TestSequenceEngine:
         def run(rows):
             out, cache = forward(rows, True)
             np.testing.assert_array_equal(forward(rows, False)[0], out)
+            grads = zero_grads(p)
             if variant is None:
-                return (out, *gru_backward(p, cache, d_out[rows]), None)
-            return (out, *evolve_backward(p, cache, d_out[rows]))
+                return (out, grads, gru_backward(p, cache, d_out[rows], grads), None)
+            return (out, grads, *evolve_backward(p, cache, d_out[rows], grads))
 
         ordered, shuffled = run(np.arange(6)), run(perm)
         for k in (0, 2, 3):  # states, d_inputs, d_scores
@@ -270,7 +277,8 @@ class TestSequenceEngine:
         p = zero_params(2, 3)
         xs = np.ones((1, 1, 2))
         _, cache = gru_forward(p, xs, [1])
-        grads, d_inputs = gru_backward(p, cache, np.ones((1, 1, 3)))
+        grads = zero_grads(p)
+        d_inputs = gru_backward(p, cache, np.ones((1, 1, 3)), grads)
         np.testing.assert_array_equal(grads["b_cand"], [0.5, 0.5, 0.5])
         np.testing.assert_array_equal(grads["b_update"], np.zeros(3))
         np.testing.assert_array_equal(d_inputs, np.zeros((1, 1, 2)))
@@ -316,13 +324,14 @@ class TestRecurrentGradients:
 
     def test_input_gradient(self):
         _, cache = gru_forward(self.p, self.xs, self.lens)
-        _, d_inputs = gru_backward(self.p, cache, self.proj)
+        d_inputs = gru_backward(self.p, cache, self.proj, zero_grads(self.p))
         flat_check(self.loss_forward, self.xs, d_inputs)
 
     def test_parameter_gradients(self):
         _, cache = gru_forward(self.p, self.xs, self.lens)
-        grads, _ = gru_backward(self.p, cache, self.proj)
-        for name, arr in self.p.arrays().items():
+        grads = zero_grads(self.p)
+        gru_backward(self.p, cache, self.proj, grads)
+        for name, arr in vars(self.p).items():
             flat_check(self.loss_forward, arr, grads[name])
 
 
@@ -350,7 +359,8 @@ class TestEvolutionGradients:
 
     def backward(self, variant):
         _, cache = evolve_forward(self.p, self.states, self.scores, self.lens, variant)
-        return evolve_backward(self.p, cache, self.d_evolved)
+        grads = zero_grads(self.p)
+        return (grads, *evolve_backward(self.p, cache, self.d_evolved, grads))
 
     @pytest.mark.parametrize("variant", EVOLUTION_VARIANTS)
     def test_state_gradient(self, variant):
@@ -365,7 +375,7 @@ class TestEvolutionGradients:
     @pytest.mark.parametrize("variant", EVOLUTION_VARIANTS)
     def test_parameter_gradients(self, variant):
         grads, _, _ = self.backward(variant)
-        for name, arr in self.p.arrays().items():
+        for name, arr in vars(self.p).items():
             if name.endswith("update") and variant == AGRU:
                 # the gate-replacing cell never evaluates its update gate
                 np.testing.assert_array_equal(grads[name], np.zeros_like(arr))
@@ -422,7 +432,9 @@ class TestAttention:
         lens = np.array([5, 2, 4])
         proj = rng.standard_normal((3, 5))
         _, cache = attention_forward(states, targets, params, lens)
-        d_w, d_states, d_targets = attention_backward(params, cache, proj)
+        grads = zero_grads(params)
+        d_states, d_targets = attention_backward(params, cache, proj, grads)
+        d_w = grads["w"]
 
         def loss():
             got, _ = attention_forward(states, targets, params, lens)
@@ -454,13 +466,3 @@ class TestSingleSequenceSurfaces:
                 np.testing.assert_allclose(batched[k, t], h, atol=1e-12)
             frozen = np.broadcast_to(batched[k, n - 1], (6 - n, 3))
             np.testing.assert_array_equal(batched[k, n:], frozen)
-
-
-class TestParamContainers:
-    def test_zero_grads_shapes(self):
-        p = rand_params(2, 3, seed=86)
-        grads = p.zero_grads()
-        assert set(grads) == set(p.arrays())
-        for name, arr in grads.items():
-            assert arr.shape == p.arrays()[name].shape
-            assert not np.any(arr)
